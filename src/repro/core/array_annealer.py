@@ -38,10 +38,13 @@ tiers here move the remaining per-proposal Python overhead onto flat arrays:
 * :func:`compile_fast_packet` — builds an index-space
   :class:`~repro.core.packet.AnnealingPacket` and its
   :class:`~repro.core.kernel.PacketKernel` directly from a fast-engine
-  :class:`~repro.sim.compile.FastPacket`, gathering the communication table
-  from the compiled scenario's per-edge equation-4 tensor instead of calling
-  ``cost_row`` per predecessor (same accumulation order, bit-identical
-  rows).  This is what gives SA a real ``fast_assign``.
+  :class:`~repro.sim.compile.FastPacket`.  A ready task's equation-4 row and
+  its share of ``dF_c`` are run-long invariants, so a :class:`ReadyRowCache`
+  builds both once per task per run — the row from the compiled scenario's
+  per-edge tensor instead of ``cost_row`` calls (same accumulation order,
+  bit-identical rows) — and each epoch only gathers the ready × idle slice
+  and sorts the cached totals.  This is what gives SA a real
+  ``fast_assign``.
 """
 
 from __future__ import annotations
@@ -58,11 +61,16 @@ from repro.annealing.stopping import (
     MaxIterationsStopping,
     StallStopping,
 )
-from repro.core.kernel import PacketKernel
+from repro.core.kernel import (
+    PacketKernel,
+    comm_range_from_totals,
+    worst_case_comm_totals,
+)
 from repro.core.moves import _DROP_PROBABILITY
 from repro.core.packet import AnnealingPacket, PacketMapping
 
 __all__ = [
+    "ReadyRowCache",
     "anneal_array",
     "anneal_replicas_batched",
     "anneal_replicas_scalar",
@@ -977,55 +985,100 @@ def anneal_replicas_batched(
 # FastPacket -> index-space packet + kernel (the SA fast_assign front end)
 # --------------------------------------------------------------------------- #
 
+class ReadyRowCache:
+    """Run-long per-task inputs of :func:`compile_fast_packet` for one scenario.
+
+    Once a task is ready, every predecessor has finished and its placement
+    never changes, so two things about the task are fixed for the rest of
+    the run: its equation-4 cost row over **all** processors, and its
+    worst-case communication total (its share of ``dF_c``).
+    :func:`compile_fast_packet` fills both the first epoch the task shows up
+    ready.  The entries depend on one run's placements: the owner drops the
+    cache when the run ends (:meth:`SAScheduler.reset
+    <repro.core.sa_scheduler.SAScheduler.reset>`).
+    """
+
+    __slots__ = ("scenario", "have", "rows", "totals")
+
+    def __init__(self, scenario) -> None:
+        n = scenario.n_tasks
+        self.scenario = scenario
+        self.have: List[bool] = [False] * n
+        #: ``rows[t, p]``: the equation-4 cost of placing task *t* on processor *p*.
+        self.rows = np.zeros((n, scenario.n_procs), dtype=np.float64)
+        #: Worst-case comm total per task; ``None`` without predecessors (or
+        #: communication), which keeps the task out of ``dF_c``.
+        self.totals: List[Optional[float]] = [None] * n
+
+
 def compile_fast_packet(
     fast_packet,
+    cache: ReadyRowCache,
     weight_balance: float = 0.5,
     weight_comm: float = 0.5,
 ) -> Tuple[AnnealingPacket, PacketKernel]:
     """Lower one fast-engine epoch into an annealing packet and its kernel.
 
     *fast_packet* is a :class:`~repro.sim.compile.FastPacket` (duck-typed to
-    avoid a core → sim import).  Ready tasks keep their dense graph indices
-    as identifiers, predecessor placements come straight off the scenario's
-    CSR arrays, and the kernel's communication table is gathered from the
-    precompiled per-edge equation-4 tensor — one predecessor row at a time,
-    the accumulation order of :func:`~repro.comm.model.comm_cost_table` — so
-    the tables (and therefore every annealing decision) are bit-identical to
-    the ones the materialized-context path would build.
+    avoid a core → sim import) and *cache* the run's :class:`ReadyRowCache`
+    for its scenario.  Ready tasks keep their dense graph indices as
+    identifiers.  A task seen for the first time gets its cache row summed
+    from the precompiled per-edge equation-4 tensor, one predecessor at a
+    time from 0.0 (the accumulation order of
+    :func:`~repro.comm.model.comm_cost_table`), and its worst-case total
+    from :func:`~repro.core.kernel.worst_case_comm_totals`.  The epoch then
+    gathers the ready × idle slice of the rows and sorts the ready tasks'
+    totals (:func:`~repro.core.kernel.comm_range_from_totals`), so the
+    tables and ranges (and therefore every annealing decision) are
+    bit-identical to the ones the materialized-context path would build.
+    The packet carries no predecessor placement: the kernel's tables
+    already encode it.
     """
     sc = fast_packet.scenario
-    machine = sc.machine
-    ready = list(fast_packet.ready)
-    idle = list(fast_packet.idle)
+    if cache.scenario is not sc:
+        raise ValueError("the row cache was built for another compiled scenario")
+    ready = fast_packet.ready
+    idle = fast_packet.idle
+    have, rows, totals = cache.have, cache.rows, cache.totals
+    new = [ti for ti in ready if not have[ti]]
+    pc = sc._pred_costs  # None for the zero model: rows stay 0.0, totals None
+    if new and pc is not None:
+        indptr = sc.pred_indptr_list
+        pred_ids = sc.pred_ids_list
+        assigned = fast_packet.assigned_proc
+        with_preds = []
+        weight_lists = []
+        for ti in new:
+            lo, hi = indptr[ti], indptr[ti + 1]
+            if lo == hi:
+                continue
+            row = rows[ti]
+            for e in range(lo, hi):
+                row += pc[e, assigned[pred_ids[e]]]
+            with_preds.append(ti)
+            weight_lists.append(sc.pred_weights[lo:hi].tolist())
+        for ti, total in zip(with_preds, worst_case_comm_totals(sc.machine, weight_lists)):
+            totals[ti] = total
+    for ti in new:
+        have[ti] = True
     levels_list = sc.levels_list
-    indptr = sc.pred_indptr_list
-    pred_ids = sc.pred_ids_list
-    pred_weights = sc.pred_weights
-    assigned = fast_packet.assigned_proc
-    placement = {}
-    for ti in ready:
-        entries = []
-        for e in range(indptr[ti], indptr[ti + 1]):
-            p = pred_ids[e]
-            entries.append((p, int(assigned[p]), float(pred_weights[e])))
-        placement[ti] = tuple(entries)
     packet = AnnealingPacket(
         time=fast_packet.time,
         ready_tasks=tuple(ready),
         idle_processors=tuple(idle),
         levels={ti: levels_list[ti] for ti in ready},
-        predecessor_placement=placement,
+        predecessor_placement={},
     )
-    comm_model = sc.comm_model
-    table = np.zeros((len(ready), len(idle)), dtype=np.float64)
-    if comm_model.enabled and sc._pred_costs is not None:
-        procs = np.asarray(idle, dtype=np.intp)
-        pc = sc._pred_costs
-        for i, ti in enumerate(ready):
-            row = table[i]
-            for e in range(indptr[ti], indptr[ti + 1]):
-                row += pc[e, int(assigned[pred_ids[e]]), procs]
+    comm_range = comm_range_from_totals(
+        [t for t in map(totals.__getitem__, ready) if t is not None], len(idle)
+    )
     kernel = PacketKernel.from_tables(
-        packet, machine, comm_model, table, weight_balance, weight_comm
+        packet,
+        sc.machine,
+        sc.comm_model,
+        rows[np.ix_(ready, idle)],
+        comm_range,
+        weight_balance,
+        weight_comm,
     )
     return packet, kernel

@@ -22,6 +22,16 @@ order of the tables matches the scalar implementation term for term, so a
 fixed-seed annealing run over the kernel accepts exactly the same moves (and
 commits exactly the same assignments) as the original per-call evaluation.
 
+A ready task's comm row and its share of ``dF_c`` do not depend on the
+packet it sits in, only on its (fixed) predecessor placements.  The range is
+therefore split into a per-task step (:func:`worst_case_comm_totals`) and a
+per-packet sort/clamp/sum step (:func:`comm_range_from_totals`):
+:func:`compute_comm_range` composes the two for a materialized packet, while
+the fast engine's front end
+(:func:`~repro.core.array_annealer.compile_fast_packet`) caches each task's
+full-width row and total the first epoch it is ready and hands the
+per-packet slices to :meth:`PacketKernel.from_tables`.
+
 The kernel also exposes the packet in *index space* (ready task *i* stands
 for ``tasks[i]``, idle processor *j* for ``procs[j]``): the annealer runs its
 whole walk on small-integer mappings — cheaper to hash, copy and look up than
@@ -46,6 +56,8 @@ __all__ = [
     "idle_processor_speeds",
     "compute_balance_range",
     "compute_comm_range",
+    "comm_range_from_totals",
+    "worst_case_comm_totals",
 ]
 
 TaskId = Hashable
@@ -103,39 +115,64 @@ def compute_balance_range(packet: AnnealingPacket, speeds: Optional[List[float]]
     return rng
 
 
+def worst_case_comm_totals(machine, weight_lists) -> List[float]:
+    """Each task's share of ``dF_c``: its predecessor messages priced at the diameter.
+
+    ``weight_lists[i]`` holds the edge weights of task *i*'s placed
+    predecessors, in predecessor order; entry *i* of the result is their
+    equation-4 costs summed (with ``sum``, in that order) as if every
+    message crossed the whole network.  On weighted machines the worst case
+    pairs the hop diameter (routing overhead) with the weighted diameter
+    (volume); on unit-weight machines both are the same integer.  Only the
+    weights enter, so a ready task's total never changes while it waits:
+    :func:`~repro.core.array_annealer.compile_fast_packet` computes it once
+    per run.
+    """
+    diameter = max(machine.diameter, 1)
+    weighted_diameter = max(getattr(machine, "weighted_diameter", diameter), 1)
+    params = machine.params
+    return [
+        sum(
+            effective_comm_cost(w, diameter, False, params, weighted_diameter)
+            for w in weights
+        )
+        for weights in weight_lists
+    ]
+
+
+def comm_range_from_totals(totals: List[float], n_idle: int) -> float:
+    """``dF_c`` from the per-task totals of the packet's tasks with predecessors.
+
+    At most ``min(n_idle, candidates)`` tasks can be selected, so the estimate
+    sums that many of the largest totals — explicitly clamped, so a
+    degenerate packet with no idle processor keeps the neutral range of 1.0
+    instead of silently summing every candidate.
+    """
+    k = min(n_idle, len(totals))
+    if k == 0:
+        return 1.0
+    estimate = sum(sorted(totals, reverse=True)[:k])
+    return estimate if estimate > 0 else 1.0
+
+
 def compute_comm_range(packet: AnnealingPacket, machine, comm_model: CommunicationModel) -> float:
     """``dF_c``: highest-communication candidates paired with the network diameter.
 
-    At most ``min(n_idle, candidates)`` tasks can be selected, so the estimate
-    sums that many of the worst per-task costs — explicitly clamped, so a
-    degenerate packet with no idle processor keeps the neutral range of 1.0
-    instead of silently summing every candidate.  On weighted machines the
-    worst case pairs the hop diameter (routing overhead) with the weighted
-    diameter (volume); on unit-weight machines both are the same integer and
-    the estimate is unchanged.
+    The packet-level composition of :func:`worst_case_comm_totals` (over the
+    ready tasks that have placed predecessors) and
+    :func:`comm_range_from_totals`.
     """
     if not comm_model.enabled:
         return 1.0
-    diameter = max(machine.diameter, 1)
-    weighted_diameter = max(getattr(machine, "weighted_diameter", diameter), 1)
-    totals = []
+    placement = packet.predecessor_placement
+    weight_lists = []
     for task in packet.ready_tasks:
-        preds = packet.predecessor_placement.get(task, ())
-        if not preds:
-            continue
-        worst = sum(
-            effective_comm_cost(w, diameter, False, machine.params, weighted_diameter)
-            for _, _, w in preds
-        )
-        totals.append(worst)
-    if not totals:
-        return 1.0
-    totals.sort(reverse=True)
-    k = min(packet.n_idle, len(totals))
-    if k == 0:
-        return 1.0
-    estimate = sum(totals[:k])
-    return estimate if estimate > 0 else 1.0
+        preds = placement.get(task, ())
+        if preds:
+            weight_lists.append([w for _, _, w in preds])
+    return comm_range_from_totals(
+        worst_case_comm_totals(machine, weight_lists), packet.n_idle
+    )
 
 
 class PacketKernel:
@@ -158,6 +195,10 @@ class PacketKernel:
         (the default) builds it with :func:`~repro.comm.model.comm_cost_table`;
         a caller passing one (see :meth:`from_tables`) guarantees its entries
         are bit-identical to that construction.
+    comm_range:
+        Optional precomputed ``dF_c``; ``None`` (the default) computes it
+        with :func:`compute_comm_range`, and a caller passing one guarantees
+        it equals that value.
     """
 
     __slots__ = (
@@ -188,6 +229,7 @@ class PacketKernel:
         weight_balance: float = 0.5,
         weight_comm: float = 0.5,
         comm_table=None,
+        comm_range: Optional[float] = None,
     ) -> None:
         comm_model = comm_model if comm_model is not None else LinearCommModel()
         self.packet = packet
@@ -225,7 +267,9 @@ class PacketKernel:
         self.weight_balance = float(weight_balance)
         self.weight_comm = float(weight_comm)
         self.balance_range = compute_balance_range(packet, self.speeds)
-        self.comm_range = compute_comm_range(packet, machine, comm_model)
+        if comm_range is None:
+            comm_range = compute_comm_range(packet, machine, comm_model)
+        self.comm_range = comm_range
 
     @classmethod
     def from_tables(
@@ -234,18 +278,21 @@ class PacketKernel:
         machine,
         comm_model: CommunicationModel,
         comm_table,
+        comm_range: float,
         weight_balance: float = 0.5,
         weight_comm: float = 0.5,
     ) -> "PacketKernel":
-        """Build a kernel around an externally-built communication table.
+        """Build a kernel around an externally-built communication table and ``dF_c``.
 
-        *comm_table* is the ``(n_ready, n_idle)`` equation-4 cost table,
-        typically gathered from a compiled scenario's per-edge tensor
+        *comm_table* is the ``(n_ready, n_idle)`` equation-4 cost table and
+        *comm_range* the communication normalization, typically gathered
+        from run-long per-task rows and totals
         (:func:`repro.core.array_annealer.compile_fast_packet`).  The caller
-        guarantees its entries are bit-identical to what
-        :func:`~repro.comm.model.comm_cost_table` would produce; everything
-        else (levels, speeds, balance rows, normalization ranges) is derived
-        by the regular constructor.
+        guarantees both are bit-identical to what
+        :func:`~repro.comm.model.comm_cost_table` and
+        :func:`compute_comm_range` would produce for *packet* — which then
+        needs no predecessor placement; everything else (levels, speeds,
+        balance rows, balance range) is derived by the regular constructor.
         """
         return cls(
             packet,
@@ -254,6 +301,7 @@ class PacketKernel:
             weight_balance=weight_balance,
             weight_comm=weight_comm,
             comm_table=comm_table,
+            comm_range=comm_range,
         )
 
     # ------------------------------------------------------------------ #

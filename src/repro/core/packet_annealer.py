@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Hashable, List, Optional, Tuple
 
+import heapq
 import math
 
 import numpy as np
@@ -329,6 +330,7 @@ class PacketMappingProblem(AnnealingProblem):
         self.packet = packet
         self.cost_function = cost_function
         self.initial_mapping = initial_mapping
+        self._hlf_tasks: Optional[List[TaskId]] = None
 
     # -- initial state ---------------------------------------------------- #
     def hlf_mapping(self) -> PacketMapping:
@@ -336,12 +338,20 @@ class PacketMappingProblem(AnnealingProblem):
 
         This is exactly the assignment the HLF baseline would commit for the
         same packet, so annealing can only improve (in packet-cost terms) on
-        the baseline's choice.
+        the baseline's choice.  The selected tasks are computed once per
+        problem (the packet is frozen) with ``heapq.nsmallest``, which is
+        defined as ``sorted(...)[:k]`` — ties keep ready order; every call
+        returns a fresh mapping.
         """
-        order = sorted(self.packet.ready_tasks, key=lambda t: -self.packet.levels[t])
-        k = self.packet.n_assignable
+        packet = self.packet
+        tasks = self._hlf_tasks
+        if tasks is None:
+            levels = packet.levels
+            tasks = self._hlf_tasks = heapq.nsmallest(
+                packet.n_assignable, packet.ready_tasks, key=lambda t: -levels[t]
+            )
         mapping = PacketMapping()
-        for task, proc in zip(order[:k], self.packet.idle_processors[:k]):
+        for task, proc in zip(tasks, packet.idle_processors):
             mapping.assign(task, proc)
         return mapping
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Hashable, List, Optional, Union
 
 from repro.annealing.portfolio import PortfolioConfig
-from repro.core.array_annealer import compile_fast_packet
+from repro.core.array_annealer import ReadyRowCache, compile_fast_packet
 from repro.core.config import SAConfig
 from repro.core.packet import AnnealingPacket
 from repro.core.packet_annealer import PacketAnnealer, PacketAnnealingOutcome
@@ -59,10 +59,11 @@ class SAScheduler(SchedulingPolicy):
 
     Notes
     -----
-    The scheduler is stateful across a run: it keeps per-packet statistics
-    and, when ``config.record_trajectories`` is set, the full cost trajectory
-    of every packet.  :meth:`reset` clears that state and re-seeds the RNG so
-    that repeated simulations with the same seed are identical.
+    The scheduler is stateful across a run: it keeps per-packet statistics,
+    the fast path's per-task row cache and, when
+    ``config.record_trajectories`` is set, the full cost trajectory of every
+    packet.  :meth:`reset` clears that state and re-seeds the RNG so that
+    repeated simulations with the same seed are identical.
     """
 
     def __init__(self, config: Optional[SAConfig] = None) -> None:
@@ -74,6 +75,7 @@ class SAScheduler(SchedulingPolicy):
         self.packet_outcomes: List[PacketAnnealingOutcome] = []
         self._committed: Dict[TaskId, ProcId] = {}
         self._last_outcome: Optional[PacketAnnealingOutcome] = None
+        self._fast_cache: Optional[ReadyRowCache] = None
         #: optional observer called with ``best_so_far(include_assignment=False)``
         #: after every committed packet — the anytime progress channel the
         #: scheduling service's long-running jobs report through.
@@ -81,12 +83,14 @@ class SAScheduler(SchedulingPolicy):
 
     # ------------------------------------------------------------------ #
     def reset(self) -> None:
-        """Clear accumulated statistics and re-seed the internal RNG."""
+        """Clear accumulated statistics, drop the per-run row cache of the
+        fast path and re-seed the internal RNG."""
         self._rng = as_rng(self.config.seed)
         self.packet_stats = []
         self.packet_outcomes = []
         self._committed = {}
         self._last_outcome = None
+        self._fast_cache = None
 
     def with_replicas(self, replicas: int) -> "SAScheduler":
         """A new scheduler annealing *replicas* multi-start chains per packet.
@@ -210,20 +214,24 @@ class SAScheduler(SchedulingPolicy):
 
         Lowers the :class:`~repro.sim.compile.FastPacket` into an annealing
         packet + kernel (:func:`~repro.core.array_annealer.compile_fast_packet`
-        gathers the equation-4 table from the scenario's per-edge tensor) and
-        runs the same spawn / split / walk sequence as :meth:`assign`, so a
-        fast-engine run commits bit-identical mappings and consumes the
-        scheduler RNG identically.  Declines (before touching any stochastic
-        state) for the reference path (``compiled=False``) and for
-        trajectory-recording runs, which need the materialized context.
+        gathers the equation-4 table from per-task rows cached for the whole
+        run, like ETF's arrival rows) and runs the same spawn / split / walk
+        sequence as :meth:`assign`, so a fast-engine run commits
+        bit-identical mappings and consumes the scheduler RNG identically.
+        Declines (before touching any stochastic state) for the reference
+        path (``compiled=False``) and for trajectory-recording runs, which
+        need the materialized context.
         """
         cfg = self.config
         if not cfg.compiled or cfg.record_trajectories:
             return None
         if packet.n_idle == 0 or packet.n_ready == 0:
             return {}
+        cache = self._fast_cache
+        if cache is None or cache.scenario is not packet.scenario:
+            cache = self._fast_cache = ReadyRowCache(packet.scenario)
         apacket, kernel = compile_fast_packet(
-            packet, cfg.weight_balance, cfg.weight_comm
+            packet, cache, cfg.weight_balance, cfg.weight_comm
         )
         seeds = self._portfolio_seeds(lambda: ETFScheduler().fast_assign(packet))
         packet_rng = spawn_rng(self._rng, 1)[0]

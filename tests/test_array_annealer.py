@@ -14,11 +14,12 @@ Four contracts are pinned here:
   result of a scalar single-chain walk on that replica's child stream, and
   fixed ``(seed, B)`` runs are deterministic with ``B = 1`` matching the
   single chain;
-* :func:`~repro.core.array_annealer.compile_fast_packet` builds kernels
-  bit-identical to the :class:`~repro.core.cost.PacketCostFunction` path, so
-  SA's ``fast_assign`` commits the same mappings as the materialized-context
+* :func:`~repro.core.array_annealer.compile_fast_packet`, through SA's
+  run-long row cache, builds kernels bit-identical to the cold
+  :class:`~repro.core.kernel.PacketKernel` of each epoch's materialized
+  context, so SA's ``fast_assign`` commits the same mappings as the
   fallback it replaces (and the fast engine reports zero fallback epochs
-  for SA);
+  for SA); the cache never outlives its run;
 * the ``replicas=`` knob threads through ``SAConfig`` → ``SAScheduler`` →
   ``simulate`` → sweep specs.
 """
@@ -30,13 +31,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.sa_scheduler as sa_scheduler_module
 from repro.annealing.replicas import ReplicaStats, best_replica_index, summarize_replicas
 from repro.comm.model import LinearCommModel, ZeroCommModel
 from repro.core.array_annealer import (
     anneal_array,
     anneal_replicas_batched,
     anneal_replicas_scalar,
-    compile_fast_packet,
 )
 from repro.core.config import SAConfig
 from repro.core.cost import PacketCostFunction
@@ -53,7 +54,10 @@ from repro.exceptions import ConfigurationError, SimulationError
 from repro.machine.machine import Machine
 from repro.schedulers.base import PacketContext, SchedulingPolicy
 from repro.schedulers.hlf import HLFScheduler
+from repro.sim.compile import compile_scenario
 from repro.sim.engine import simulate
+from repro.sim.fast_engine import run_lanes
+from repro.taskgraph.families import build_family
 from repro.taskgraph.generators import layered_random, random_dag
 from repro.utils.rng import as_rng, split
 
@@ -336,70 +340,112 @@ class TestBatchedReplicas:
 
 
 # --------------------------------------------------------------------------- #
-# compile_fast_packet: scenario-gathered kernels == cost-function kernels
+# compile_fast_packet: row-cached kernels == cold reference kernels
 # --------------------------------------------------------------------------- #
 
 
-def _fast_packets_of_run(graph, machine, comm_model):
-    """Capture every FastPacket the fast engine hands to a policy."""
+def _ctx_of(packet, comm_model):
+    """The materialized PacketContext of one fast-engine epoch."""
+    sc = packet.scenario
+    levels = {t: sc.levels_list[sc.index_of[t]] for t in sc.task_ids}
+    placed = {
+        sc.task_ids[i]: int(p)
+        for i, p in enumerate(packet.assigned_proc)
+        if p >= 0
+    }
+    return PacketContext(
+        time=packet.time,
+        ready_tasks=[sc.task_ids[i] for i in packet.ready],
+        idle_processors=list(packet.idle),
+        graph=sc.graph,
+        machine=sc.machine,
+        levels=levels,
+        task_processor=placed,
+        comm_model=comm_model,
+    )
+
+
+def _sa_kernels_of_run(graph, machine, comm_model, monkeypatch):
+    """Every kernel SA anneals over in one fast-engine run, with its reference.
+
+    Wraps ``compile_fast_packet`` at the name ``SAScheduler.fast_assign``
+    calls, so the kernels come through the run-long row cache; each is
+    paired with the cold kernel built from the epoch's materialized context.
+    """
     captured = []
+    cached = sa_scheduler_module.compile_fast_packet
 
-    class Capture(HLFScheduler):
-        def fast_assign(self, packet):
-            captured.append(
-                compile_fast_packet(packet)
-                + (PacketKernel(
-                    AnnealingPacket.from_context(_ctx_of(packet)),
-                    machine,
-                    comm_model=comm_model,
-                ),)
-            )
-            return super().fast_assign(packet)
-
-    def _ctx_of(packet):
-        sc = packet.scenario
-        levels = {t: sc.levels_list[sc.index_of[t]] for t in sc.task_ids}
-        placed = {
-            sc.task_ids[i]: int(p)
-            for i, p in enumerate(packet.assigned_proc)
-            if p >= 0
-        }
-        return PacketContext(
-            time=packet.time,
-            ready_tasks=[sc.task_ids[i] for i in packet.ready],
-            idle_processors=list(packet.idle),
-            graph=graph,
-            machine=machine,
-            levels=levels,
-            task_processor=placed,
+    def capture(packet, cache, weight_balance, weight_comm):
+        apacket, kernel = cached(packet, cache, weight_balance, weight_comm)
+        reference = PacketKernel(
+            AnnealingPacket.from_context(_ctx_of(packet, comm_model)),
+            machine,
             comm_model=comm_model,
+            weight_balance=weight_balance,
+            weight_comm=weight_comm,
         )
+        captured.append((list(packet.ready), apacket, kernel, reference))
+        return apacket, kernel
 
-    simulate(graph, machine, Capture(seed=0), comm_model=comm_model,
-             record_trace=False, fast=True)
+    monkeypatch.setattr(sa_scheduler_module, "compile_fast_packet", capture)
+    result = simulate(graph, machine, SAScheduler(SAConfig.paper_defaults(seed=0)),
+                      comm_model=comm_model, record_trace=False, fast=True)
+    assert result.n_fallback_epochs == 0
     return captured
 
 
-@pytest.mark.parametrize("machine_factory,comm_off", [
-    (lambda: Machine.hypercube(3), False),
-    (lambda: Machine.hypercube(3), True),
-    (lambda: Machine.ring(9), False),
-    (lambda: _hetero_machine(3), False),
+def _assert_kernel_equals_reference(kernel, apacket, reference, task_ids):
+    """Every PacketKernel field of the cached kernel equals the cold one.
+
+    The cached kernel runs on dense task indices; the reference on task ids.
+    """
+    ids = [task_ids[i] for i in kernel.tasks]
+    for name in PacketKernel.__slots__:
+        got, want = getattr(kernel, name), getattr(reference, name)
+        if name == "packet":
+            assert got is apacket
+            assert got.time == want.time
+            assert got.idle_processors == want.idle_processors
+            assert [got.levels[i] for i in kernel.tasks] == [want.levels[t] for t in ids]
+        elif name == "tasks":
+            assert tuple(ids) == want
+        elif name == "task_index":
+            assert {task_ids[i]: k for i, k in got.items()} == want
+        elif name == "comm_table":
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert got == want, name
+
+
+@pytest.mark.parametrize("machine_factory,comm_off,family", [
+    (lambda: Machine.hypercube(3), False, None),
+    (lambda: Machine.hypercube(3), True, None),
+    (lambda: Machine.ring(9), False, None),
+    (lambda: _hetero_machine(3), False, None),
+    (lambda: Machine.hypercube(3), False, "montage"),
 ])
-def test_compile_fast_packet_tables_bit_identical(machine_factory, comm_off):
+def test_compile_fast_packet_tables_bit_identical(
+    machine_factory, comm_off, family, monkeypatch
+):
     machine = machine_factory()
     comm_model = ZeroCommModel() if comm_off else LinearCommModel()
-    graph = layered_random(n_layers=4, width=6, edge_probability=0.5,
-                           mean_duration=15.0, mean_comm=7.0, seed=2)
-    captured = _fast_packets_of_run(graph, machine, comm_model)
+    if family is None:
+        # Wider than the machines, so tasks wait across epochs on cached rows.
+        graph = layered_random(n_layers=4, width=12, edge_probability=0.5,
+                               mean_duration=15.0, mean_comm=7.0, seed=2)
+    else:
+        graph = build_family(family, seed=0)
+    captured = _sa_kernels_of_run(graph, machine, comm_model, monkeypatch)
     assert captured, "no epochs captured"
-    for apacket, fast_kernel, ref_kernel in captured:
-        assert fast_kernel.comm_rows == ref_kernel.comm_rows
-        assert fast_kernel.balance_rows == ref_kernel.balance_rows
-        assert fast_kernel.levels == ref_kernel.levels
-        assert fast_kernel.balance_range == ref_kernel.balance_range
-        assert fast_kernel.comm_range == ref_kernel.comm_range
-        assert fast_kernel.comm_enabled == ref_kernel.comm_enabled
+    task_ids = graph.tasks
+    seen = set()
+    carried_over = 0
+    for ready, apacket, kernel, reference in captured:
+        _assert_kernel_equals_reference(kernel, apacket, reference, task_ids)
+        carried_over += sum(1 for ti in ready if ti in seen)
+        seen.update(ready)
+    assert carried_over > 0
 
 
 # --------------------------------------------------------------------------- #
@@ -453,6 +499,38 @@ class TestSAFastPath:
         assert fast.fingerprint() == slow.fingerprint()
         assert fast_policy.n_packets == slow_policy.n_packets
         assert fast_policy.packet_stats == slow_policy.packet_stats
+
+    def test_row_cache_lifetime_matches_fresh_schedulers(self, hypercube8):
+        """The run-long row cache never outlives its run.
+
+        One scheduler is reused for simulate() on graph A, A again at the
+        contention fidelity (same compiled scenario, other placements), A,
+        graph B, and then as a run_lanes lane after the documented reset();
+        every run must equal a fresh scheduler's.
+        """
+        graph_a = layered_random(n_layers=5, width=6, edge_probability=0.5,
+                                 mean_duration=15.0, mean_comm=7.0, seed=3)
+        graph_b = random_dag(30, edge_probability=0.2, seed=4)
+
+        def fresh():
+            return SAScheduler(SAConfig.paper_defaults(seed=5))
+
+        def run(graph, policy, fidelity="latency"):
+            return simulate(graph, hypercube8, policy, fidelity=fidelity,
+                            record_trace=False, fast=True).fingerprint()
+
+        reused = fresh()
+        for graph, fidelity in ((graph_a, "latency"), (graph_a, "contention"),
+                                (graph_a, "latency"), (graph_b, "latency")):
+            assert run(graph, reused, fidelity) == run(graph, fresh(), fidelity)
+
+        comm = LinearCommModel()
+        scenarios = [compile_scenario(g, hypercube8, comm, levels=g.levels())
+                     for g in (graph_a, graph_b)]
+        reused.reset()
+        lanes = run_lanes([(scenarios[0], reused), (scenarios[1], fresh())])
+        assert lanes[0].fingerprint() == run(graph_a, fresh())
+        assert lanes[1].fingerprint() == run(graph_b, fresh())
 
     @pytest.mark.parametrize("fast", [False, True])
     def test_simulate_replicas_knob(self, hypercube8, fast):

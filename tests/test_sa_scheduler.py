@@ -79,6 +79,23 @@ class TestPacketMappingProblem:
         assert set(seed.task_to_proc) == {"hi", "mid"}
         assert seed.processor_of("hi") == 3  # first idle processor
 
+    @pytest.mark.parametrize("n_idle", [1, 2, 3, 5, 8])
+    def test_hlf_seed_ties_match_sorted_reference(self, hypercube8, n_idle):
+        """Tied levels keep ready order, insertion order included, on every call."""
+        levels = {"a": 2.0, "b": 5.0, "c": 2.0, "d": 5.0, "e": 1.0, "f": 5.0, "g": 2.0}
+        packet = make_packet(levels=levels, pred_placement={},
+                             idle_procs=list(range(n_idle)))
+        problem = PacketMappingProblem(packet, PacketCostFunction(packet, hypercube8))
+        order = sorted(packet.ready_tasks, key=lambda t: -levels[t])
+        k = packet.n_assignable
+        expected = list(zip(order[:k], packet.idle_processors[:k]))
+        first, second = problem.hlf_mapping(), problem.hlf_mapping()
+        assert list(first.task_to_proc.items()) == expected
+        assert list(second.task_to_proc.items()) == expected
+        assert first is not second
+        first.unassign(expected[0][0])  # callers own their copy
+        assert list(problem.hlf_mapping().task_to_proc.items()) == expected
+
     def test_random_seed_is_maximal_and_valid(self, hypercube8):
         packet = make_packet(
             levels={f"t{i}": float(i) for i in range(6)},
