@@ -66,7 +66,7 @@ class GoldenStore:
         stored = data[key]
         if stored != fingerprint:
             diffs = []
-            for field in ("makespan", "n_packets", "n_messages"):
+            for field in sorted((set(stored) | set(fingerprint)) - {"tasks"}):
                 if stored.get(field) != fingerprint.get(field):
                     diffs.append(f"{field}: golden={stored.get(field)!r} got={fingerprint.get(field)!r}")
             gold_tasks, got_tasks = stored.get("tasks", {}), fingerprint.get("tasks", {})
@@ -125,6 +125,14 @@ def golden_contention(golden_regen) -> GoldenStore:
 def golden_families(golden_regen) -> GoldenStore:
     """Golden fingerprints for the workload-zoo family cells."""
     store = GoldenStore(GOLDEN_DIR / "families.json", golden_regen)
+    yield store
+    store.flush()
+
+
+@pytest.fixture(scope="session")
+def golden_lanes(golden_regen) -> GoldenStore:
+    """Golden fingerprints and work counts of SA replica and portfolio runs."""
+    store = GoldenStore(GOLDEN_DIR / "lanes.json", golden_regen)
     yield store
     store.flush()
 

@@ -4,7 +4,10 @@ Every (program, architecture, communication) cell of the paper's Table 2 is
 simulated under the canonical SA configuration and compared bit-for-bit —
 makespan, packet count, message count and every task's ``[processor, start,
 finish]`` triple — against the fixtures in ``tests/golden/``.  Two
-random-graph scenarios pin the generator + sweep stack the same way.
+random-graph scenarios pin the generator + sweep stack the same way, and
+``lanes.json`` pins multi-lane SA (``replicas=4`` and ``portfolio=4``) on
+both simulation engines, together with each run's total proposals, rung
+count and culled-lane count.
 
 These tests are the contract behind every performance refactor: compiled
 kernels, vectorized tables and parallel sweeps may change *how* the numbers
@@ -21,6 +24,7 @@ import pytest
 from repro.comm.model import LinearCommModel, ZeroCommModel
 from repro.core.config import SAConfig
 from repro.core.sa_scheduler import SAScheduler
+from repro.experiments.sweep import MACHINE_BUILDERS
 from repro.machine.machine import Machine
 from repro.sim.engine import simulate
 from repro.taskgraph.generators import layered_random, random_dag
@@ -93,3 +97,58 @@ def test_random_graph_fingerprint_matches_golden(scenario, golden_random):
     result = RANDOM_SCENARIOS[scenario]()
     result.trace.validate()
     golden_random.check(scenario, result.fingerprint())
+
+
+LANE_GRAPHS = {
+    "layered4x6": lambda: layered_random(
+        n_layers=4, width=6, edge_probability=0.4,
+        mean_duration=20.0, mean_comm=8.0, seed=0,
+    ),
+    "dag30": lambda: random_dag(
+        30, edge_probability=0.2, mean_duration=15.0, mean_comm=5.0, seed=1
+    ),
+}
+LANE_MODES = {
+    "replicas4": lambda cfg: cfg.with_replicas(4),
+    "portfolio4": lambda cfg: cfg.with_portfolio(4),
+}
+LANE_CELLS = [
+    (mode, graph, machine, engine)
+    for mode in sorted(LANE_MODES)
+    for graph in sorted(LANE_GRAPHS)
+    for machine in ("hypercube8", "hetero-hypercube8-4x")
+    for engine in ("object", "fast")
+]
+
+
+@pytest.mark.parametrize("mode,graph,machine,engine", LANE_CELLS,
+                         ids=["-".join(cell) for cell in LANE_CELLS])
+def test_lane_run_matches_golden(mode, graph, machine, engine, golden_lanes):
+    """Replica and portfolio runs: schedule plus the lane walk's work counts."""
+    scheduler = SAScheduler(LANE_MODES[mode](SAConfig.paper_defaults(seed=0)))
+    racing = {"rungs": 0, "culled_lanes": 0}
+
+    def count(snapshot) -> None:
+        last = snapshot.get("last_packet")
+        if last is not None:
+            racing["rungs"] += last["n_rungs"]
+            racing["culled_lanes"] += last["n_culled"]
+
+    scheduler.anytime_hook = count
+    result = simulate(
+        LANE_GRAPHS[graph](),
+        MACHINE_BUILDERS[machine](),
+        scheduler,
+        comm_model=LinearCommModel(),
+        record_trace=True,
+        fast=engine == "fast",
+    )
+    result.trace.validate()
+    golden_lanes.check(
+        f"{mode}|{graph}|{machine}|{engine}",
+        dict(
+            result.fingerprint(),
+            n_proposals=sum(s.n_proposals for s in scheduler.packet_stats),
+            **racing,
+        ),
+    )
