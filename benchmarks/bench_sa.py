@@ -1,20 +1,21 @@
-"""Benchmark: the annealing-walk tiers and the batched multi-replica engine.
+"""Benchmark: the annealing-walk tiers and multi-replica annealing.
 
-The packet annealer has four performance tiers (see ``SAConfig``): the
-*reference* per-call cost evaluation (``compiled=False``), the PR-1 fused
-*kernel* walk (``walk="kernel"``), the array-native single-chain walk
-(``walk="array"``, the default) and the *batched* lock-step multi-replica
-engine (``replicas=B``).  This benchmark anneals the bench_kernel packet bag
-(20 × (15 ready, 4 idle) + 10 × (30 ready, 8 idle), hypercube-8) through all
-four, asserts the three single-chain tiers commit **identical** mappings
-(same seed → same stream → same moves) and that batching is deterministic,
-and reports
+The packet annealer has three single-chain performance tiers (see
+``SAConfig``): the *reference* per-call cost evaluation (``compiled=False``),
+the fused *kernel* walk (``walk="kernel"``) and the array-native walk
+(``walk="array"``, the default); ``replicas=B`` runs B multi-start chains
+per packet, each an array walk stepped one temperature at a time as a lane.
+This benchmark anneals the bench_kernel packet bag (20 × (15 ready, 4 idle)
++ 10 × (30 ready, 8 idle), hypercube-8) through all four, asserts the three
+single-chain tiers commit **identical** mappings (same seed → same stream →
+same moves) and that multi-replica runs are deterministic, and reports
 
 * the single-chain speedup of the array walk over the reference path
   (target ≥ 3×; CI floor ≥ 2× for noisy shared runners), and
-* the per-replica speedup of the batched engine over the reference path
-  (target ≥ 8× at B = 128; CI floor ≥ 2×) — batched wall clock divided by
-  the replica count, i.e. what one multi-start chain costs.
+* the per-replica speedup of ``replicas=B`` over the reference path (CI
+  floor ≥ 2×) — the B-replica wall clock divided by B, i.e. what one
+  multi-start chain costs.  A stepped lane costs about one array walk plus
+  its per-step bookkeeping, whatever B is.
 
 A second test races the anytime lane **portfolio** (``portfolio=8``:
 heterogeneous cooling schedules × initial seeds × temperature scales with
@@ -69,10 +70,11 @@ PORTFOLIO_LANES = 8
 #: itself changed; measured values are ~5-9x (see BENCH_sa.json).
 MIN_PORTFOLIO_QUALITY = 1.2
 
-#: Replica count of the batched measurement: big enough that the vectorized
-#: lock-step amortizes its per-step numpy dispatch over many lanes (the
-#: per-replica cost keeps falling with B; 128 lanes roughly break even with
-#: the scalar array walk, 256 beat it).
+#: Replica count of the multi-replica measurement.  Kept at 256 so the
+#: per-replica numbers in BENCH_sa.json stay comparable across versions:
+#: 256 lanes was the best shape of the deleted lock-step numpy engine (which
+#: vectorized over lanes and broke even with the scalar array walk near
+#: 128), and is the one shape where stepping lanes is slower than it was.
 N_REPLICAS = 256
 
 
@@ -174,8 +176,8 @@ def test_sa_annealing_tiers_speedup(benchmark, save_artifact):
         "scenario": {
             "bag": "30 packets: 20 x (15 ready, 4 idle) + 10 x (30 ready, 8 idle), "
                    "hypercube8, eq-4 comm",
-            "batched": f"{N_REPLICAS} lock-stepped replicas per packet "
-                       "(per-replica child RNG streams)",
+            "batched": f"{N_REPLICAS} replicas per packet stepped as array-walk "
+                       "lanes (per-replica child RNG streams)",
             "e2e": "SA over dag200 (200 tasks), object engine vs fast engine",
         },
         "tiers_ms": {
@@ -201,7 +203,7 @@ def test_sa_annealing_tiers_speedup(benchmark, save_artifact):
     BENCH_JSON.write_text(json.dumps(payload, indent=1) + "\n")
 
     lines = [
-        "SA annealing benchmark: walk tiers + batched multi-replica engine",
+        "SA annealing benchmark: walk tiers + multi-replica lanes",
         payload["scenario"]["bag"],
         "",
         f"{'tier':<22} {'time':>12} {'vs reference':>13}",

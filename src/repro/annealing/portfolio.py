@@ -3,9 +3,9 @@
 PR 7's cross-family study showed fixed-budget SA losing to ETF on every
 >=1000-task family: one cooling schedule and one HLF seed per packet is not
 enough diversity.  A *portfolio* runs ``lanes`` heterogeneous annealing
-chains over the same packet in the lock-step batched engine
-(:func:`repro.core.array_annealer.anneal_replicas_batched`), where each lane
-varies three axes:
+chains over the same packet, each an array walk that
+:func:`repro.core.array_annealer.anneal_replicas_batched` steps one
+temperature at a time, where each lane varies three axes:
 
 * **cooling schedule** — any :class:`~repro.annealing.cooling.CoolingSchedule`
   (geometric at several rates, linear, logarithmic);
@@ -28,8 +28,8 @@ portfolio run is bit-reproducible under fixed seeds and each lane replays
 exactly as a scalar single-chain walk on its own child stream.
 
 This module is deliberately free of ``repro.core`` imports so that
-``repro.core.config`` can depend on it without a cycle; the engine consumes
-the :class:`LanePlan` duck-typed.
+``repro.core.config`` can depend on it without a cycle;
+``anneal_replicas_batched`` consumes the :class:`LanePlan` duck-typed.
 """
 
 from __future__ import annotations
@@ -173,14 +173,14 @@ class RungDecision:
 class SuccessiveHalvingController:
     """Deterministic successive-halving over recorded lane trajectories.
 
-    The engine calls :meth:`on_step` once per temperature step, after its
-    own stall/budget stopping has retired lanes.  At rung boundaries
-    (``step % rung == 0``) the still-walking lanes are ranked by the best
-    cost in their recorded trajectory (ties to the lowest lane index), the
-    worse half is culled, and the freed budget — culled lanes' remaining
-    steps plus the unspent steps of lanes that stopped naturally since the
-    last rung — is split evenly across the survivors, remainder to the
-    lowest-indexed ones.  Budgets are mutated in place; the engine's stop
+    ``anneal_replicas_batched`` calls :meth:`on_step` once per temperature
+    step, after its own stall/budget stopping has retired lanes.  At rung
+    boundaries (``step % rung == 0``) the still-walking lanes are ranked by
+    the best cost in their recorded trajectory (ties to the lowest lane
+    index), the worse half is culled, and the freed budget — culled lanes'
+    remaining steps plus the unspent steps of lanes that stopped naturally
+    since the last rung — is split evenly across the survivors, remainder to
+    the lowest-indexed ones.  Budgets are mutated in place; the lanes' stop
     condition reads them every step.
     """
 
@@ -251,13 +251,13 @@ class SuccessiveHalvingController:
 
 @dataclass
 class LanePlan:
-    """Per-lane walk parameters handed to the batched engine.
+    """Per-lane walk parameters handed to ``anneal_replicas_batched``.
 
     ``problems[b]`` builds lane *b*'s initial state, ``coolings[b]`` /
     ``t0s[b]`` drive its temperature, ``budgets[b]`` is its (mutable)
     temperature-step budget, and ``controller`` is consulted once per step
-    for rung culling.  The engine treats this duck-typed: any object with
-    these attributes works.
+    for rung culling.  It is read duck-typed: any object with these
+    attributes works.
     """
 
     problems: Sequence[object]

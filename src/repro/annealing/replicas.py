@@ -1,14 +1,15 @@
 """Multi-replica (multi-start) annealing summaries.
 
-A batched annealing run walks B independent replicas of the same problem —
-one child RNG stream each, lock-stepped by the array engine
-(:mod:`repro.core.array_annealer`) — and commits the best replica's result.
-This module holds the replica-level bookkeeping shared by that engine and
-its consumers: the per-replica statistics record, the deterministic
-best-replica selection rule, and a small summary helper for variance
-studies (the new capability batching opens beyond raw speed: B independent
-end costs of the *same* packet quantify how sensitive the annealer is to
-its stream).
+A multi-replica annealing run walks B independent replicas of the same
+problem — one child RNG stream each, stepped one temperature at a time as
+lanes of the array walk
+(:func:`repro.core.array_annealer.anneal_replicas_batched`) — and commits
+the best replica's result.  This module holds the replica-level bookkeeping
+shared by that function and its consumers: the per-replica statistics record,
+the deterministic best-replica selection rule, and a small summary helper
+for variance studies (the new capability multi-start opens beyond raw
+speed: B independent end costs of the *same* packet quantify how sensitive
+the annealer is to its stream).
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ class ReplicaStats:
 
     ``temperature_trajectory`` holds one ``(temperature, cost)`` sample per
     temperature step (the post-resync cost the stopping rule saw); it is
-    populated by the vectorized lock-step engine and empty on the scalar
-    fallback paths.  ``final_cost`` is ``None`` on paths that only surface
+    populated by ``anneal_replicas_batched``'s stepped lanes and empty on
+    the scalar fallback paths.  ``final_cost`` is ``None`` on paths that only surface
     the elitist best state (the reference / trajectory-recording fallbacks).
     """
 

@@ -8,10 +8,12 @@ communication-cost tables; a short simulated annealing run
 mappings of ready tasks onto idle processors under the normalized
 load-balancing + communication cost of :mod:`repro.core.cost` (equations 3–6)
 and the move/swap neighbourhood of :mod:`repro.core.moves`; the best mapping
-found becomes the epoch's assignment.  The inner walk runs in one of four
-bit-identical tiers (reference / kernel / array / batched multi-replica —
-see :mod:`repro.core.array_annealer` and ``SAConfig.walk`` /
-``SAConfig.replicas``).  The whole staged policy is exposed as
+found becomes the epoch's assignment.  The inner walk runs in one of three
+bit-identical tiers (reference / kernel / array — see
+:mod:`repro.core.array_annealer` and ``SAConfig.walk``); multi-replica and
+portfolio runs (``SAConfig.replicas`` / ``SAConfig.portfolio``) step one
+array walk per lane, one temperature at a time.  The whole staged policy is
+exposed as
 :class:`~repro.core.sa_scheduler.SAScheduler`, a drop-in
 :class:`~repro.schedulers.base.SchedulingPolicy` with an index-space
 ``fast_assign`` kernel for the compiled simulation engine.

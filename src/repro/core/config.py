@@ -78,18 +78,20 @@ class SAConfig:
     replicas:
         Number of independent annealing replicas per packet (multi-start
         chains).  ``1`` (default) is the single-chain walk; ``B > 1`` runs B
-        lock-stepped replicas with per-replica child streams
-        (:func:`repro.utils.rng.split`) and commits the best replica's
+        replicas with per-replica child streams
+        (:func:`repro.utils.rng.split`), each an array walk stepped one
+        temperature at a time as a lane, and commits the best replica's
         mapping, reporting per-replica statistics for variance studies.
     portfolio:
         Anytime portfolio mode (:class:`repro.annealing.portfolio.PortfolioConfig`,
         or an ``int`` lane count for the default axes).  Runs heterogeneous
-        lanes (cooling x initial assignment x temperature scale) in the
-        lock-step batched engine with successive-halving racing over the
-        recorded per-temperature costs; culled lanes donate their remaining
-        draw budget to the survivors.  Mutually exclusive with
-        ``replicas > 1``; requires the compiled sigmoid array walk (the only
-        engine with per-lane budget masks).
+        lanes (cooling x initial assignment x temperature scale), each an
+        array walk stepped one temperature at a time, with
+        successive-halving racing over the recorded per-temperature costs;
+        culled lanes donate their remaining draw budget to the survivors.
+        Mutually exclusive with ``replicas > 1``; requires the compiled
+        sigmoid array walk (the walk that pauses between temperature steps
+        for the racing controller).
     """
 
     weight_balance: float = 0.5
@@ -163,12 +165,13 @@ class SAConfig:
             if type(self.acceptance) is not BoltzmannSigmoidAcceptance:
                 raise ConfigurationError(
                     "portfolio mode requires the sigmoid acceptance rule "
-                    "(the batched engine's only acceptance kernel)"
+                    "(the array walk inlines only that rule)"
                 )
             if not self.compiled or self.walk != "array":
                 raise ConfigurationError(
                     "portfolio mode requires compiled=True and walk='array' "
-                    "(per-lane budget masks exist only in the array engine)"
+                    "(only the array walk pauses between temperature steps "
+                    "for the racing controller)"
                 )
 
     def moves_for_packet(self, n_ready: int, n_idle: int) -> int:

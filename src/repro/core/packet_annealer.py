@@ -641,10 +641,10 @@ class PacketAnnealer:
     ) -> PacketAnnealingOutcome:
         """Anneal ``cfg.replicas`` multi-start chains and commit the best.
 
-        Compiled, non-recording configurations run the vectorized lock-step
-        engine over one shared kernel; the reference path and
-        trajectory-recording runs fall back to one full scalar anneal per
-        child stream (same children, same per-replica results, just slower).
+        Compiled, non-recording configurations step the replicas as lanes
+        over one shared kernel; the reference path and trajectory-recording
+        runs fall back to one full scalar anneal per child stream (same
+        children, same per-replica results, no per-step lane trajectories).
         """
         cfg = self.config
         children = split(rng, cfg.replicas)
@@ -698,7 +698,7 @@ class PacketAnnealer:
         kernel: PacketKernel,
         children,
     ) -> PacketAnnealingOutcome:
-        """Lock-step replicas over one shared kernel (the batched hot path)."""
+        """Replicas stepped as lanes over one shared kernel (the hot path)."""
         cfg = self.config
         problem = PacketMappingProblem(
             kernel.index_packet(), kernel, initial_mapping=cfg.initial_mapping

@@ -97,9 +97,12 @@ class SAScheduler(SchedulingPolicy):
 
         Fresh state and a fresh RNG; the original scheduler is untouched.
         The hook :class:`~repro.sim.engine.Simulator` uses for its
-        ``replicas=`` knob.
+        ``replicas=`` knob.  The ``anytime_hook`` observer carries over, as
+        in :meth:`with_portfolio`.
         """
-        return SAScheduler(replace(self.config, replicas=replicas))
+        scheduler = SAScheduler(replace(self.config, replicas=replicas))
+        scheduler.anytime_hook = self.anytime_hook
+        return scheduler
 
     def with_portfolio(
         self, portfolio: Union[int, PortfolioConfig]

@@ -28,9 +28,10 @@ the speed- and link-weight-aware paths of every scheduler::
 
     python -m repro.experiments.sweep --hetero --jobs 4 --out hetero.json
 
-``--replicas B`` anneals every SA packet as B lock-stepped multi-start
-chains (batched array engine, per-replica child RNG streams) and commits the
-best replica — e.g. a 16-replica SA study over the 200-task family::
+``--replicas B`` anneals every SA packet as B multi-start chains (array
+walks stepped one temperature at a time as lanes, per-replica child RNG
+streams) and commits the best replica — e.g. a 16-replica SA study over the
+200-task family::
 
     python -m repro.experiments.sweep --policies SA --families dag200 \
         --replicas 16 --jobs 4 --out sa_replicas.json
@@ -1186,10 +1187,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--replicas", type=int, default=None,
         help=(
-            "batched multi-start annealing for the SA rows: anneal this many "
-            "lock-stepped replicas per packet (per-replica child RNG streams) "
-            "and commit the best replica's mapping; other policies are "
-            "unaffected (default: single-chain SA)"
+            "multi-start annealing for the SA rows: anneal this many "
+            "replicas per packet (per-replica child RNG streams) and commit "
+            "the best replica's mapping; other policies are unaffected "
+            "(default: single-chain SA)"
         ),
     )
     parser.add_argument(

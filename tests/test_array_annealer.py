@@ -10,10 +10,11 @@ Four contracts are pinned here:
   Table-2 cells and both random-graph fixtures pin the same walk end-to-end
   through ``tests/test_golden_trace.py`` and ``tests/test_fast_engine.py``,
   which run the default config);
-* the batched lock-step engine returns, for every replica, exactly the
-  result of a scalar single-chain walk on that replica's child stream, and
-  fixed ``(seed, B)`` runs are deterministic with ``B = 1`` matching the
-  single chain;
+* the stepped lanes of ``anneal_replicas_batched`` return, for every
+  replica, exactly the result of a scalar single-chain walk on that
+  replica's child stream, each lane's trajectory is the ``(temperature,
+  cost)`` sequence that walk feeds its stopping rule, and fixed ``(seed,
+  B)`` runs are deterministic with ``B = 1`` matching the single chain;
 * :func:`~repro.core.array_annealer.compile_fast_packet`, through SA's
   run-long row cache, builds kernels bit-identical to the cold
   :class:`~repro.core.kernel.PacketKernel` of each epoch's materialized
@@ -33,6 +34,7 @@ from hypothesis import strategies as st
 
 import repro.core.sa_scheduler as sa_scheduler_module
 from repro.annealing.replicas import ReplicaStats, best_replica_index, summarize_replicas
+from repro.annealing.stopping import StoppingRule
 from repro.comm.model import LinearCommModel, ZeroCommModel
 from repro.core.array_annealer import (
     anneal_array,
@@ -221,7 +223,7 @@ class TestSingleChainEquivalence:
 
 
 # --------------------------------------------------------------------------- #
-# Batched lock-step engine
+# Multi-lane annealing: stepped lanes
 # --------------------------------------------------------------------------- #
 
 
@@ -234,6 +236,35 @@ def _prepped_run_rngs(problem, parent_seed: int, n: int):
         problem.cost(problem.initial_state(seed_rng))
         runs.append(as_rng(run_rng))
     return runs
+
+
+class _RecordingStopping(StoppingRule):
+    """Delegates to *inner*, recording the (temperature, cost) of every step."""
+
+    def __init__(self, inner: StoppingRule, cooling, t0: float) -> None:
+        self.inner = inner
+        self.cooling = cooling
+        self.t0 = t0
+        self.seen = []
+
+    def reset(self) -> None:
+        self.inner.reset()
+        self.seen = []
+
+    def should_stop(self, iteration: int, cost: float) -> bool:
+        self.seen.append((self.cooling.temperature(iteration, self.t0), cost))
+        return self.inner.should_stop(iteration, cost)
+
+
+def _recorded_solo_walk(kernel, problem, packet, rng, t0=1.0):
+    """A solo anneal_array walk and the samples its stopping rule saw."""
+    annealer = PacketAnnealer(SAConfig(seed=0))._build_annealer(packet)
+    annealer.initial_temperature = t0
+    lane_t0 = problem.initial_temperature(None) if t0 is None else t0
+    recorder = annealer.stopping = _RecordingStopping(
+        annealer.stopping, annealer.cooling, lane_t0
+    )
+    return anneal_array(kernel, problem, annealer, rng), recorder.seen
 
 
 class TestBatchedReplicas:
@@ -257,6 +288,62 @@ class TestBatchedReplicas:
             assert [_result_key(r) for r in batched] == [_result_key(r) for r in scalar]
             # One (temperature, cost) sample per executed temperature step.
             assert [len(t) for t in trajs] == [r.n_iterations for r in batched]
+
+    def test_lane_trajectory_is_what_the_solo_walk_stops_on(self):
+        """Lane b's samples are the (temperature, cost) pairs a solo
+        anneal_array walk on child b hands its stopping rule, step by step."""
+        for seed in range(3):
+            packet = _make_packet(12 + 4 * seed, 3 + seed, seed)
+            kernel = PacketCostFunction(packet, _hetero_machine(seed)).kernel
+            problem = PacketMappingProblem(kernel.index_packet(), kernel)
+            annealer = PacketAnnealer(SAConfig(seed=0))._build_annealer(packet)
+            results, trajs = anneal_replicas_batched(
+                kernel, problem, annealer, _prepped_run_rngs(problem, seed, 4)
+            )
+            for b, rng in enumerate(_prepped_run_rngs(problem, seed, 4)):
+                solo, seen = _recorded_solo_walk(kernel, problem, packet, rng)
+                assert trajs[b] == seen, f"seed {seed} lane {b}"
+                assert _result_key(results[b]) == _result_key(solo)
+
+    def test_single_lane_equals_anneal_array(self, hypercube8):
+        for seed in range(4):
+            packet = _make_packet(9 + seed, 2 + seed, seed)
+            kernel = PacketCostFunction(packet, hypercube8).kernel
+            problem = PacketMappingProblem(kernel.index_packet(), kernel)
+            annealer = PacketAnnealer(SAConfig(seed=0))._build_annealer(packet)
+            (lane,), (traj,) = anneal_replicas_batched(
+                kernel, problem, annealer, [np.random.default_rng(seed)]
+            )
+            solo = anneal_array(kernel, problem, annealer, np.random.default_rng(seed))
+            assert _result_key(lane) == _result_key(solo)
+            assert len(traj) == solo.n_iterations
+
+    @pytest.mark.parametrize("n_ready,n_idle,t0", [
+        (0, 3, 1.0), (5, 0, 1.0), (0, 0, 1.0), (7, 3, None), (0, 2, None),
+    ])
+    def test_degenerate_and_problem_t0_lanes_take_the_stepped_path(
+        self, hypercube8, n_ready, n_idle, t0
+    ):
+        """Packets with nothing to place or nowhere to place it, and
+        annealers that ask the problem for t0, still get one trajectory
+        sample per step (the scalar reference records none)."""
+        packet = _make_packet(n_ready, n_idle, 5)
+        kernel = PacketCostFunction(packet, hypercube8).kernel
+        problem = PacketMappingProblem(kernel.index_packet(), kernel)
+        annealer = PacketAnnealer(SAConfig(seed=0))._build_annealer(packet)
+        annealer.initial_temperature = t0
+        results, trajs = anneal_replicas_batched(
+            kernel, problem, annealer, _prepped_run_rngs(problem, 2, 3)
+        )
+        _, scalar_trajs = anneal_replicas_scalar(
+            kernel, problem, annealer, _prepped_run_rngs(problem, 2, 3)
+        )
+        assert scalar_trajs == [[], [], []]
+        for b, rng in enumerate(_prepped_run_rngs(problem, 2, 3)):
+            solo, seen = _recorded_solo_walk(kernel, problem, packet, rng, t0)
+            assert _result_key(results[b]) == _result_key(solo)
+            assert trajs[b] == seen
+            assert len(trajs[b]) == results[b].n_iterations > 0
 
     def test_batched_outcome_deterministic(self, hypercube8):
         packet = _make_packet(14, 5, 1)

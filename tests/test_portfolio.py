@@ -428,6 +428,23 @@ class TestPortfolioSimulation:
         assert counts == sorted(counts)
         assert all("assignment" not in snapshot for snapshot in seen)
 
+    def test_anytime_hook_survives_the_replicas_copy(self, scenario):
+        """simulate(replicas=B) anneals on with_replicas' copy of the policy;
+        the hook must reach that copy and fire once per committed packet."""
+        graph, machine = scenario
+        policy = SAScheduler(SAConfig.paper_defaults(seed=7))
+        seen = []
+        policy.anytime_hook = seen.append
+        assert policy.with_replicas(2).anytime_hook == seen.append
+        result = simulate(
+            graph, machine, policy, comm_model=LinearCommModel(),
+            record_trace=False, replicas=2,
+        )
+        assert result.n_packets > 0
+        assert [snapshot["n_packets"] for snapshot in seen] == list(
+            range(1, result.n_packets + 1)
+        )
+
     def test_reset_clears_the_anytime_state(self, scenario):
         graph, machine = scenario
         policy = SAScheduler(SAConfig.paper_defaults(seed=7)).with_portfolio(2)
