@@ -17,6 +17,13 @@ same moves) and that multi-replica runs are deterministic, and reports
   multi-start chain costs.  A stepped lane costs about one array walk plus
   its per-step bookkeeping, whatever B is.
 
+That bag has no packet with a single idle processor, the shape that
+carries almost all of the fast engine's annealing work, so a second bag
+of 30 × (220 ready, 1 idle) packets times the single-idle walk both
+drivers select for it against the general array walk (the oracle),
+driven alike, asserts identical results and reports
+``single_idle_speedup`` (CI floor ≥ 1.2×).
+
 A second test races the anytime lane **portfolio** (``portfolio=8``:
 heterogeneous cooling schedules × initial seeds × temperature scales with
 successive-halving culling) against fixed-B multi-start (``replicas=8``) at
@@ -45,9 +52,11 @@ import numpy as np
 import pytest
 
 from repro.comm.model import LinearCommModel
+from repro.core.array_annealer import _array_walk, _finish, _single_idle_walk
 from repro.core.config import SAConfig
+from repro.core.cost import PacketCostFunction
 from repro.core.packet import AnnealingPacket
-from repro.core.packet_annealer import PacketAnnealer
+from repro.core.packet_annealer import PacketAnnealer, PacketMappingProblem
 from repro.core.sa_scheduler import SAScheduler
 from repro.experiments.sweep import GRAPH_FAMILIES
 from repro.machine.machine import Machine
@@ -58,9 +67,10 @@ BENCH_JSON = REPO_ROOT / "BENCH_sa.json"
 
 #: Loose CI floors (noisy shared runners); the locally measured values —
 #: recorded in BENCH_sa.json — are the real targets (>= 3x single-chain,
-#: >= 8x per replica batched).
+#: >= 8x per replica batched, ~1.7x single-idle walk over the array walk).
 MIN_SINGLE_SPEEDUP = 2.0
 MIN_BATCHED_SPEEDUP = 2.0
+MIN_SINGLE_IDLE_SPEEDUP = 1.2
 
 #: Matched draw budget of the portfolio-quality race: 8 portfolio lanes vs
 #: 8 fixed multi-start replicas, both at the paper's per-lane step budget.
@@ -103,6 +113,49 @@ def _packet_bag():
     return [_make_packet(15, 4, s) for s in range(20)] + [
         _make_packet(30, 8, s) for s in range(10)
     ]
+
+
+def _single_idle_bag(machine):
+    """30 (220 ready, 1 idle) packets, the fast engine's common epoch shape,
+    as (kernel, problem, annealer, seed) walk inputs."""
+    bag = []
+    for seed in range(30):
+        packet = _make_packet(220, 1, seed)
+        kernel = PacketCostFunction(packet, machine).kernel
+        problem = PacketMappingProblem(kernel.index_packet(), kernel)
+        annealer = PacketAnnealer(SAConfig(seed=0))._build_annealer(packet)
+        bag.append((kernel, problem, annealer, seed))
+    return bag
+
+
+def _walk_bag(walk, bag):
+    """Drive *walk* over every packet of *bag* the way ``anneal_array`` does."""
+    results = []
+    for kernel, problem, annealer, seed in bag:
+        stopping = annealer.stopping
+        stopping.reset()
+        gen = walk(kernel, problem, np.random.default_rng(seed),
+                   annealer.moves_per_temperature, annealer.resync_tolerance,
+                   annealer.cooling, annealer.initial_temperature)
+        step = 0
+        while not stopping.should_stop(step, next(gen)[1]):
+            step += 1
+        r = _finish(gen)
+        results.append((list(r.best_state.task_to_proc.items()), r.best_cost,
+                        list(r.final_state.task_to_proc.items()), r.final_cost,
+                        r.n_iterations, r.n_proposals, r.n_accepted))
+    return results
+
+
+def _time_walks(bag, repeats=5):
+    """Best-of-*repeats* seconds of both walks over *bag*, interleaved."""
+    best = {_array_walk: float("inf"), _single_idle_walk: float("inf")}
+    for _ in range(repeats):
+        for walk in best:
+            t0 = time.perf_counter()
+            _walk_bag(walk, bag)
+            best[walk] = min(best[walk], time.perf_counter() - t0)
+    return best[_array_walk], best[_single_idle_walk]
 
 
 def _anneal_all(annealer: PacketAnnealer, packets, machine):
@@ -157,6 +210,14 @@ def test_sa_annealing_tiers_speedup(benchmark, save_artifact):
     single_speedup = t_reference / t_array
     batched_speedup = t_reference / t_per_replica
 
+    # The single-idle walk against the array walk on one-idle packets.
+    idle_bag = _single_idle_bag(machine)
+    oracle = _walk_bag(_array_walk, idle_bag)
+    assert _walk_bag(_single_idle_walk, idle_bag) == oracle, "single-idle walk diverged"
+    n_idle_proposals = sum(r[5] for r in oracle)
+    t_idle_array, t_idle_single = _time_walks(idle_bag)
+    single_idle_speedup = t_idle_array / t_idle_single
+
     # End-to-end: SA over the 200-task dag200 sweep family, object engine vs
     # the fast engine driving SA through its index-space fast_assign.
     graph = GRAPH_FAMILIES["dag200"](0)
@@ -179,6 +240,8 @@ def test_sa_annealing_tiers_speedup(benchmark, save_artifact):
             "batched": f"{N_REPLICAS} replicas per packet stepped as array-walk "
                        "lanes (per-replica child RNG streams)",
             "e2e": "SA over dag200 (200 tasks), object engine vs fast engine",
+            "single_idle": "30 packets x (220 ready, 1 idle), hypercube8, eq-4 comm: "
+                           "single-idle walk vs array walk, driven alike",
         },
         "tiers_ms": {
             "reference": round(t_reference * 1e3, 1),
@@ -191,6 +254,12 @@ def test_sa_annealing_tiers_speedup(benchmark, save_artifact):
         "array_vs_kernel": round(t_kernel / t_array, 2),
         "batched_per_replica_speedup": round(batched_speedup, 2),
         "n_replicas": N_REPLICAS,
+        "single_idle_ms": {
+            "array_walk": round(t_idle_array * 1e3, 1),
+            "single_idle_walk": round(t_idle_single * 1e3, 1),
+        },
+        "single_idle_proposals": n_idle_proposals,
+        "single_idle_speedup": round(single_idle_speedup, 2),
         "e2e_dag200_ms": {
             "object": round(t_e2e_object * 1e3, 1),
             "fast": round(t_e2e_fast * 1e3, 1),
@@ -199,6 +268,7 @@ def test_sa_annealing_tiers_speedup(benchmark, save_artifact):
         },
         "min_single_speedup_asserted": MIN_SINGLE_SPEEDUP,
         "min_batched_speedup_asserted": MIN_BATCHED_SPEEDUP,
+        "min_single_idle_speedup_asserted": MIN_SINGLE_IDLE_SPEEDUP,
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=1) + "\n")
 
@@ -213,6 +283,12 @@ def test_sa_annealing_tiers_speedup(benchmark, save_artifact):
         f"{'batched (per replica)':<22} {t_per_replica * 1e3:>10.2f}ms {batched_speedup:>12.2f}x",
         "",
         f"batched total: {t_batched * 1e3:.0f}ms for {N_REPLICAS} replicas x 30 packets",
+        "",
+        payload["scenario"]["single_idle"],
+        f"{'array walk':<22} {t_idle_array * 1e3:>10.1f}ms {'1.00x':>13}",
+        f"{'single-idle walk':<22} {t_idle_single * 1e3:>10.1f}ms "
+        f"{single_idle_speedup:>12.2f}x",
+        "",
         f"SA dag200 end-to-end: {payload['e2e_dag200_ms']['object']:.0f}ms object -> "
         f"{payload['e2e_dag200_ms']['fast']:.0f}ms fast "
         f"({payload['e2e_dag200_ms']['speedup']:.2f}x, "
@@ -228,6 +304,10 @@ def test_sa_annealing_tiers_speedup(benchmark, save_artifact):
     assert batched_speedup >= MIN_BATCHED_SPEEDUP, (
         f"batched per-replica speedup regressed: {batched_speedup:.2f}x "
         f"(floor {MIN_BATCHED_SPEEDUP}x); see BENCH_sa.json"
+    )
+    assert single_idle_speedup >= MIN_SINGLE_IDLE_SPEEDUP, (
+        f"single-idle walk speedup regressed: {single_idle_speedup:.2f}x "
+        f"(floor {MIN_SINGLE_IDLE_SPEEDUP}x); see BENCH_sa.json"
     )
 
     # pytest-benchmark timing: the array-walk bag (one repetition).

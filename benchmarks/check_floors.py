@@ -49,6 +49,7 @@ FLOOR_CHECKS = {
     "BENCH_sa.json": [
         ("single_chain_speedup", "min_single_speedup_asserted"),
         ("batched_per_replica_speedup", "min_batched_speedup_asserted"),
+        ("single_idle_speedup", "min_single_idle_speedup_asserted"),
         ("portfolio_quality_min", "min_portfolio_quality_asserted"),
     ],
     "BENCH_fidelity.json": [

@@ -1,5 +1,5 @@
-"""Array-native annealing walks: the resumable single-chain array walk and
-the multi-lane loop that steps it.
+"""Array-native annealing walks: the resumable single-chain array walk, its
+single-idle specialisation, and the multi-lane loop that steps them.
 
 This module is the third performance tier of the packet annealer (see
 ``SAConfig``): the *reference* tier evaluates every move through
@@ -23,12 +23,26 @@ walk here moves the remaining per-proposal Python overhead onto flat arrays:
   generator (:func:`_array_walk`) that pauses after every temperature step;
   :func:`anneal_array` drives it with the annealer's stopping rule.
 
+  Packets with exactly one idle processor (and a ready task) — the fast
+  engine's common epoch, which carries almost all annealing proposals —
+  run :func:`_single_idle_walk` instead, with the same generator protocol.
+  Its whole mapping is one integer (the task on the processor, or -1), each
+  task's add and drop deltas are built once per packet, and its draw blocks
+  carry every 32-bit half already mapped to numpy's ``integers(0, n_ready)``
+  answer (Lemire's method, vectorized; the rare half that fails the fast
+  test is settled exactly in :func:`_lemire_retry`).  It draws the same raw
+  words and applies the same float operations in the same order, so it is
+  bit-identical too; :func:`_array_walk` remains the ``n_idle >= 2`` path
+  and its differential oracle.  No option selects between them:
+  :func:`_walk_for` decides from the packet shape.
+
 * :func:`anneal_replicas_batched` — B independent lanes (multi-start
   replicas, or a portfolio's heterogeneous lanes) over one shared kernel.
-  Each lane is its own resumable array walk on its own child generator
-  (from :func:`repro.utils.rng.split`); the loop steps every live lane one
-  temperature at a time in lane order, then applies the per-lane stall and
-  budget rule, then lets a portfolio controller cull lanes.  Lane *b* is
+  Each lane is its own resumable walk (the one :func:`anneal_array` would
+  run) on its own child generator (from :func:`repro.utils.rng.split`); the
+  loop steps every live lane one temperature at a time in lane order, then
+  applies the per-lane stall and budget rule, then lets a portfolio
+  controller cull lanes.  Lane *b* is
   therefore a solo :func:`anneal_array` walk on child *b* **by
   construction** — the contract :func:`anneal_replicas_scalar` pins in the
   differential tests.
@@ -428,8 +442,234 @@ def _array_walk(
     )
 
 
+# --------------------------------------------------------------------------- #
+# The single-idle walk: one free processor, one integer of state
+# --------------------------------------------------------------------------- #
+
+def _task_indices(halves: np.ndarray, n: int) -> np.ndarray:
+    """numpy's ``integers(0, n)`` answer for each 32-bit draw in *halves*.
+
+    Lemire's method maps ``u32`` to ``(u32 * n) >> 32`` unless the product's
+    low word is below *n* (the fast test fails): the draw may be rejected, so
+    its entry is ``-(u32 + 1)`` and :func:`_lemire_retry` settles it exactly.
+    """
+    m = halves * np.uint64(n)
+    out = (m >> 32).view(np.int64)
+    slow = np.flatnonzero((m & _M32) < n)
+    out[slow] = -1 - halves[slow].view(np.int64)
+    return out
+
+
+def _draw_block(bitgen, block, pos: int, count: int, n: int):
+    """Drop *block*'s first *pos* words and append *count* fresh raw words.
+
+    A block is three parallel lists over raw 64-bit words: the double each
+    word makes and the pre-indexed task draw (:func:`_task_indices`) of its
+    low and of its high 32-bit half.
+    """
+    raw = bitgen.random_raw(count)
+    dbl, task_lo, task_hi = block
+    # "<u4" pairs are (low, high) halves whatever the platform's byte order.
+    halves = raw.astype("<u8", copy=False).view("<u4").astype(np.uint64)
+    indices = _task_indices(halves, n)
+    return (
+        dbl[pos:] + ((raw >> 11) * _INV_2_53).tolist(),
+        task_lo[pos:] + indices[0::2].tolist(),
+        task_hi[pos:] + indices[1::2].tolist(),
+    )
+
+
+def _lemire_retry(enc: int, n: int, half, pos: int, block, bitgen):
+    """Settle a task draw whose half (entry *enc* < 0) failed the fast test.
+
+    numpy's rejection loop: the threshold test, then fresh halves (the
+    buffered *half* first, then words of *block*, refilled with
+    :data:`_RAW_BLOCK` words at its end) until one is accepted.  Returns
+    ``(index, half, pos, block)``.
+    """
+    threshold = (4294967296 - n) % n
+    while True:
+        m = (-1 - enc) * n
+        if m & _M32 >= threshold:
+            return m >> 32, half, pos, block
+        if half is not None:
+            enc, half = half, None
+        else:
+            if pos >= len(block[0]):
+                block = _draw_block(bitgen, block, pos, _RAW_BLOCK, n)
+                pos = 0
+            enc, half = block[1][pos], block[2][pos]
+            pos += 1
+        if enc >= 0:
+            return enc, half, pos, block
+
+
+def _one_slot_cost(kernel: PacketKernel, task: int) -> float:
+    """:func:`_array_walk`'s ``full_cost()`` of ``{task: 0}`` (``{}`` for -1)."""
+    acc = 0
+    fc = 0.0
+    if task >= 0:
+        acc = acc + kernel.balance_rows[task][0]
+        if kernel.comm_enabled:
+            fc += kernel.comm_rows[task][0]
+    wb, wc = kernel.weight_balance, kernel.weight_comm
+    return wc * fc / kernel.comm_range + wb * (-acc) / kernel.balance_range
+
+
+def _single_idle_walk(
+    kernel: PacketKernel,
+    problem,
+    rng,
+    moves: int,
+    resync_tolerance: float,
+    cooling,
+    t0: Optional[float],
+) -> Generator[Tuple[float, float], bool, AnnealingResult]:
+    """:func:`_array_walk` for packets with one idle processor and a ready task.
+
+    Same protocol, same draws and the same float operations in the same
+    order, so the results (and the raw words drawn) are bit-identical.  The
+    mapping is one integer, the task on the processor or ``-1``: a drop
+    empties it, a task drawn onto the empty processor is added, a different
+    task replaces the occupant and the occupant itself is a zero-delta
+    proposal.  Each task's add and drop deltas are built once per packet;
+    the replace delta is computed inline.  Task draws come pre-indexed from
+    the draw block (:func:`_draw_block`).
+    """
+    placed = list(problem.initial_state(rng).task_to_proc)
+    state = placed[0] if placed else -1
+    n = kernel.n_ready
+    b = [row[0] for row in kernel.balance_rows]
+    c = [row[0] for row in kernel.comm_rows]
+    wb, wc = kernel.weight_balance, kernel.weight_comm
+    br, cr = kernel.balance_range, kernel.comm_range
+    # Each task's add and drop deltas, vectorized: numpy's float64 ops round
+    # exactly like _array_walk's scalar ones, applied in the same order.
+    b_col, c_col = np.array((b, c))
+    add = (wc * (0.0 + c_col) / cr + wb * (0.0 - b_col) / br).tolist()
+    drop = (wc * (0.0 - c_col) / cr + wb * (0.0 + b_col) / br).tolist()
+    # The occupant's (balance_delta, comm_delta) when it leaves; unused while
+    # the processor is empty.
+    sb, sc = 0.0 + b[state], 0.0 - c[state]
+    cost = best_cost = _one_slot_cost(kernel, state)
+    best = state
+
+    if t0 is None:
+        t0 = problem.initial_temperature(rng)
+    if t0 <= 0:
+        raise ValueError(f"initial temperature must be > 0, got {t0}")
+
+    bitgen = rng.bit_generator
+    gstate = bitgen.state
+    half = None  # the buffered half's block entry; None when there is none
+    if gstate.get("has_uint32"):
+        half = int(_task_indices(np.array([gstate["uinteger"]], np.uint64), n)[0])
+    block = dbl, task_lo, task_hi = [], [], []
+    pos = 0
+    blen = 0
+    worst = 4 * moves + 64  # _array_walk's block reserve: same raw words drawn
+    one_task = n == 1
+
+    exp = math.exp
+    drop_p = _DROP_PROBABILITY
+    n_proposals = 0
+    n_accepted = 0
+    outer = 0
+    while True:
+        temperature = cooling.temperature(outer, t0)
+        if temperature < 0:
+            raise ValueError(f"temperature must be >= 0, got {temperature}")
+        zero_temp = temperature == 0.0
+        regular = not (zero_temp or math.isinf(temperature))
+        if blen - pos < worst:
+            block = _draw_block(bitgen, block, pos, max(worst, _RAW_BLOCK), n)
+            dbl, task_lo, task_hi = block
+            pos = 0
+            blen = len(dbl)
+        for _ in range(moves):
+            if state >= 0 and dbl[pos] < drop_p:
+                pos += 1
+                new = -1
+                delta = drop[state]
+            else:
+                if state >= 0:
+                    pos += 1  # the drop-check double was consumed
+                if one_task:
+                    new = 0
+                elif half is None:
+                    new = task_lo[pos]
+                    half = task_hi[pos]
+                    pos += 1
+                else:
+                    new = half
+                    half = None
+                if new < 0:  # failed Lemire's fast test: ~n * 2**-32 per draw
+                    new, half, pos, block = _lemire_retry(new, n, half, pos, block, bitgen)
+                    dbl, task_lo, task_hi = block
+                    blen = len(dbl)
+                if state < 0:
+                    delta = add[new]
+                elif new == state:
+                    delta = 0.0
+                else:
+                    delta = wc * (sc + c[new]) / cr + wb * (sb - b[new]) / br
+            # ---- accept (sigmoid inlined; 0 < probability <= 1 in the
+            # middle branch, so only 1.0 skips the draw there) ------------- #
+            if regular:
+                exponent = delta / temperature
+                if exponent > 500.0:
+                    accepted = False
+                elif exponent < -500.0:
+                    accepted = True
+                else:
+                    probability = 1.0 / (1.0 + exp(exponent))
+                    if probability >= 1.0:
+                        accepted = True
+                    else:
+                        accepted = dbl[pos] < probability
+                        pos += 1
+            elif zero_temp:
+                accepted = delta < 0.0
+            else:
+                accepted = dbl[pos] < 0.5
+                pos += 1
+            if accepted:
+                state = new
+                sb, sc = 0.0 + b[new], 0.0 - c[new]
+                n_accepted += 1
+                cost = cost + delta
+                if cost < best_cost:
+                    best_cost = cost
+                    best = state
+        n_proposals += moves
+        resynced = _one_slot_cost(kernel, state)
+        if abs(resynced - cost) > resync_tolerance:
+            cost = resynced
+        outer += 1
+        if (yield temperature, cost):
+            break
+
+    return AnnealingResult(
+        best_state=PacketMapping({best: 0} if best >= 0 else {}),
+        best_cost=best_cost,
+        final_state=PacketMapping({state: 0} if state >= 0 else {}),
+        final_cost=cost,
+        n_iterations=outer,
+        n_proposals=n_proposals,
+        n_accepted=n_accepted,
+        trajectory=[],
+    )
+
+
+def _walk_for(kernel: PacketKernel):
+    """The resumable walk for *kernel*'s packet shape (same results either way)."""
+    if kernel.n_idle == 1 and kernel.n_ready >= 1:
+        return _single_idle_walk
+    return _array_walk
+
+
 def _finish(walk) -> AnnealingResult:
-    """Stop a paused :func:`_array_walk` and return its result."""
+    """Stop a paused resumable walk and return its result."""
     try:
         walk.send(True)
     except StopIteration as done:
@@ -447,16 +687,18 @@ def anneal_array(
 
     Drop-in replacement for ``_anneal_indexed`` (same signature, bit-identical
     result for a fixed seed); requires the sigmoid acceptance rule — the
-    caller dispatches other rules to the kernel walk.  Drives one
-    :func:`_array_walk` with ``annealer.stopping``, which sees every
-    temperature step's ``(step, cost)``.  See the module docstring for the
-    draw-block and insertion-order machinery.
+    caller dispatches other rules to the kernel walk.  Drives one resumable
+    walk with ``annealer.stopping``, which sees every temperature step's
+    ``(step, cost)``: :func:`_single_idle_walk` when the packet has one idle
+    processor and a ready task, :func:`_array_walk` otherwise (same result
+    either way).  See the module docstring for the draw-block and
+    insertion-order machinery.
     """
     if type(annealer.acceptance) is not BoltzmannSigmoidAcceptance:
         raise ValueError("anneal_array requires BoltzmannSigmoidAcceptance")
     stopping = annealer.stopping
     stopping.reset()
-    walk = _array_walk(
+    walk = _walk_for(kernel)(
         kernel,
         problem,
         rng,
@@ -530,9 +772,10 @@ def anneal_replicas_batched(
 ) -> Tuple[List[AnnealingResult], List[List[Tuple[float, float]]]]:
     """Anneal ``len(rngs)`` lanes over one kernel, one temperature step at a time.
 
-    Lane *b* is a resumable :func:`_array_walk` on generator ``rngs[b]``, so
-    the returned results are bit-identical to :func:`anneal_replicas_scalar`
-    on the same children.  Each round steps every live lane once, in lane
+    Lane *b* is a resumable walk on generator ``rngs[b]`` — the one
+    :func:`anneal_array` would run for this kernel, so single-idle packets
+    step :func:`_single_idle_walk` lanes — and the returned results are
+    bit-identical to :func:`anneal_replicas_scalar` on the same children.  Each round steps every live lane once, in lane
     order, and records its ``(temperature, cost)`` sample (taken after the
     per-temperature resync, i.e. the value a stopping rule sees) — the
     second return value, one list per lane, and the raw material of
@@ -578,8 +821,9 @@ def anneal_replicas_batched(
         if len(coolings) != B or len(t0s) != B or len(budgets) != B:
             raise ValueError("lane plan arrays must have one entry per replica")
 
+    walk = _walk_for(kernel)
     walks = [
-        _array_walk(
+        walk(
             kernel,
             problems[b],
             rngs[b],

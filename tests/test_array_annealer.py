@@ -1,6 +1,6 @@
 """The array-native annealing walks: equivalence, batching, SA fast path.
 
-Four contracts are pinned here:
+Five contracts are pinned here:
 
 * the single-chain array walk (``SAConfig(walk="array")``, the default)
   replays the kernel walk (``walk="kernel"``) and the reference path
@@ -15,6 +15,10 @@ Four contracts are pinned here:
   replica's child stream, each lane's trajectory is the ``(temperature,
   cost)`` sequence that walk feeds its stopping rule, and fixed ``(seed,
   B)`` runs are deterministic with ``B = 1`` matching the single chain;
+* the single-idle walk, which both drivers select for packets with one
+  idle processor, replays ``_array_walk`` (the oracle) sample for sample,
+  result for result and raw word for raw word, and its pre-indexed task
+  draws decode to numpy's own ``integers(0, n)``, rejection loop included;
 * :func:`~repro.core.array_annealer.compile_fast_packet`, through SA's
   run-long row cache, builds kernels bit-identical to the cold
   :class:`~repro.core.kernel.PacketKernel` of each epoch's materialized
@@ -27,16 +31,27 @@ Four contracts are pinned here:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.array_annealer as array_annealer_module
 import repro.core.sa_scheduler as sa_scheduler_module
+from repro.annealing.cooling import GeometricCooling, LinearCooling
 from repro.annealing.replicas import ReplicaStats, best_replica_index, summarize_replicas
 from repro.annealing.stopping import StoppingRule
 from repro.comm.model import LinearCommModel, ZeroCommModel
 from repro.core.array_annealer import (
+    _array_walk,
+    _draw_block,
+    _finish,
+    _lemire_retry,
+    _single_idle_walk,
+    _task_indices,
+    _walk_for,
     anneal_array,
     anneal_replicas_batched,
     anneal_replicas_scalar,
@@ -424,6 +439,229 @@ class TestBatchedReplicas:
         summary = summarize_replicas(stats)
         assert summary["std_best_cost"] == 0.0
         assert summary["spread"] == 0.0
+
+
+# --------------------------------------------------------------------------- #
+# The single-idle walk against _array_walk as the oracle
+# --------------------------------------------------------------------------- #
+
+
+def _single_idle_setup(n_ready, seed, machine_kind="hom", comm_off=False,
+                       initial_mapping="hlf"):
+    packet = _make_packet(n_ready, 1, seed)
+    comm_model = ZeroCommModel() if comm_off else LinearCommModel()
+    kernel = PacketCostFunction(
+        packet, _MACHINES[machine_kind](seed), comm_model=comm_model
+    ).kernel
+    problem = PacketMappingProblem(
+        kernel.index_packet(), kernel, initial_mapping=initial_mapping
+    )
+    annealer = PacketAnnealer(SAConfig(seed=0))._build_annealer(packet)
+    return kernel, problem, annealer
+
+
+def _drive(walk, kernel, problem, annealer, rng, cooling, t0, steps, tolerance):
+    """Every (temperature, cost) a walk yields over *steps* steps, its result
+    key and the generator state it leaves behind."""
+    if tolerance is None:
+        tolerance = annealer.resync_tolerance
+    gen = walk(kernel, problem, rng, annealer.moves_per_temperature,
+               tolerance, cooling, t0)
+    samples = [next(gen) for _ in range(steps)]
+    return samples, _result_key(_finish(gen)), rng.bit_generator.state
+
+
+#: (cooling, t0, steps, resync tolerance): the paper's geometric schedule,
+#: the same with every rounding drift resynced, a linear one that reaches
+#: T = 0 half-way, an infinite start and the problem's own t0.
+_SCHEDULES = [
+    (GeometricCooling(alpha=0.9), 1.0, 30, None),
+    (GeometricCooling(alpha=0.9), 1.0, 30, 0.0),
+    (LinearCooling(step=0.25), 1.0, 8, None),
+    (GeometricCooling(alpha=0.9), math.inf, 4, None),
+    (GeometricCooling(alpha=0.9), None, 12, None),
+]
+
+
+def _rng_with_buffered_half(seed):
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 10)  # leaves the high half of a word buffered
+    assert rng.bit_generator.state["has_uint32"]
+    return rng
+
+
+def _assert_walks_agree(kernel, problem, annealer, make_rng):
+    assert _walk_for(kernel) is _single_idle_walk
+    for cooling, t0, steps, tolerance in _SCHEDULES:
+        oracle = _drive(_array_walk, kernel, problem, annealer, make_rng(),
+                        cooling, t0, steps, tolerance)
+        fast = _drive(_single_idle_walk, kernel, problem, annealer, make_rng(),
+                      cooling, t0, steps, tolerance)
+        assert fast[0] == oracle[0], f"samples differ (t0={t0})"
+        assert fast[1] == oracle[1], f"results differ (t0={t0})"
+        assert fast[2] == oracle[2], f"raw words drawn differ (t0={t0})"
+
+
+class TestSingleIdleWalk:
+    @pytest.mark.parametrize("initial_mapping", ["hlf", "random", "empty"])
+    @pytest.mark.parametrize("n_ready", [1, 2, 3, 64, 300])
+    def test_replays_the_array_walk(self, n_ready, initial_mapping):
+        for seed, (machine_kind, comm_off) in enumerate(
+            [("hom", False), ("hom", True), ("het", False), ("het", True)]
+        ):
+            kernel, problem, annealer = _single_idle_setup(
+                n_ready, seed, machine_kind, comm_off, initial_mapping
+            )
+            _assert_walks_agree(
+                kernel, problem, annealer, lambda: np.random.default_rng(seed)
+            )
+
+    def test_buffered_half_word_is_the_first_task_draw(self):
+        kernel, problem, annealer = _single_idle_setup(40, 3)
+        _assert_walks_agree(
+            kernel, problem, annealer, lambda: _rng_with_buffered_half(5)
+        )
+
+    def test_every_draw_through_the_rejection_path(self, monkeypatch):
+        """Mark every half as failing the fast test: the walk settles each
+        draw in _lemire_retry and must still replay the oracle."""
+        monkeypatch.setattr(
+            array_annealer_module, "_task_indices",
+            lambda halves, n: -1 - halves.view(np.int64),
+        )
+        kernel, problem, annealer = _single_idle_setup(64, 2, "het")
+        _assert_walks_agree(
+            kernel, problem, annealer, lambda: _rng_with_buffered_half(9)
+        )
+
+    @pytest.mark.parametrize("n_ready,n_idle,walk", [
+        (1, 1, "single"), (220, 1, "single"), (0, 1, "array"),
+        (5, 2, "array"), (3, 0, "array"), (0, 0, "array"),
+    ])
+    def test_selected_for_one_idle_processor_and_a_ready_task(
+        self, hypercube8, n_ready, n_idle, walk
+    ):
+        kernel = PacketCostFunction(_make_packet(n_ready, n_idle, 0), hypercube8).kernel
+        expected = _single_idle_walk if walk == "single" else _array_walk
+        assert _walk_for(kernel) is expected
+
+    @pytest.mark.parametrize("lanes", ["replicas", "portfolio"])
+    def test_lanes_equal_lanes_stepped_through_the_array_walk(
+        self, lanes, monkeypatch
+    ):
+        """anneal_replicas_batched picks the single-idle walk per lane; its
+        results, trajectories and (portfolio) racing equal lanes that step
+        _array_walk."""
+        for seed in range(3):
+            packet = _make_packet(30 + 20 * seed, 1, seed)
+            kernel = PacketCostFunction(packet, _hetero_machine(seed)).kernel
+            cfg = SAConfig(seed=0, portfolio=8) if lanes == "portfolio" else SAConfig(seed=0)
+            pa = PacketAnnealer(cfg)
+            problem = PacketMappingProblem(kernel.index_packet(), kernel)
+
+            def run():
+                plan = pa.build_lane_plan(kernel) if lanes == "portfolio" else None
+                results, trajs = anneal_replicas_batched(
+                    kernel, problem, pa._build_annealer(packet),
+                    _prepped_run_rngs(problem, seed, 8), plan=plan,
+                )
+                racing = None
+                if plan is not None:
+                    racing = (plan.budgets.tolist(), plan.controller.rungs)
+                return [_result_key(r) for r in results], trajs, racing
+
+            assert _walk_for(kernel) is _single_idle_walk
+            fast = run()
+            with monkeypatch.context() as patch:
+                patch.setattr(array_annealer_module, "_walk_for", lambda k: _array_walk)
+                oracle = run()
+            assert fast == oracle
+            if lanes == "portfolio":
+                assert oracle[2][1], "no rung was raced; the check proves too little"
+
+
+# --------------------------------------------------------------------------- #
+# Pre-indexed task draws and the rare Lemire rejection path
+# --------------------------------------------------------------------------- #
+
+
+def _decode_task_draws(rng, n, count, block_words):
+    """Decode *count* ``integers(0, n)`` draws the way the single-idle walk
+    does: pre-indexed block entries, the buffered half first, and
+    :func:`_lemire_retry` for entries that failed the fast test.  Refills
+    here call this module's ``_draw_block`` import, not the module global
+    :func:`_lemire_retry` looks up."""
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    half = None
+    if state["has_uint32"]:
+        half = int(_task_indices(np.array([state["uinteger"]], np.uint64), n)[0])
+    block, pos, out, slow = ([], [], []), 0, [], 0
+    for _ in range(count):
+        if half is not None:
+            entry, half = half, None
+        else:
+            if pos >= len(block[0]):
+                block, pos = _draw_block(bitgen, block, pos, block_words, n), 0
+            entry, half = block[1][pos], block[2][pos]
+            pos += 1
+        if entry < 0:
+            slow += 1
+            entry, half, pos, block = _lemire_retry(entry, n, half, pos, block, bitgen)
+        out.append(entry)
+    return out, slow
+
+
+class TestPreIndexedDraws:
+    @pytest.mark.parametrize("n", [3, 2**31 + 1, 2**32 - 1])
+    def test_decoded_draws_equal_numpys_integers(self, n, monkeypatch):
+        """n = 2**31 + 1 rejects about half of all draws and 2**32 - 1 fails
+        the fast test almost always; single-word refills inside the rejection
+        loop are counted through the module's _draw_block."""
+        retry_refills = []
+
+        def counted_draw_block(bitgen, block, pos, count, n):
+            retry_refills.append(count)
+            return _draw_block(bitgen, block, pos, count, n)
+
+        monkeypatch.setattr(array_annealer_module, "_RAW_BLOCK", 1)
+        monkeypatch.setattr(array_annealer_module, "_draw_block", counted_draw_block)
+        reference = np.random.default_rng(11)
+        rng = np.random.default_rng(11)
+        reference.integers(0, n)
+        rng.integers(0, n)  # a buffered half at the start
+        got, slow = _decode_task_draws(rng, n, 400, 2)
+        assert got == [int(reference.integers(0, n)) for _ in range(400)]
+        assert all(0 <= x < n for x in got)
+        if n == 3:
+            assert slow == 0 and not retry_refills
+        elif n == 2**31 + 1:
+            assert retry_refills and set(retry_refills) == {1}
+        else:
+            assert slow > 390
+
+    def test_entries_are_lemire_indices_or_encoded_slow_halves(self):
+        halves = np.array([0, 1, 5, 2**31, 2**32 - 1], dtype=np.uint64)
+        n = 3
+        expected = []
+        for u32 in halves.tolist():
+            m = u32 * n
+            expected.append(m >> 32 if m & 0xFFFFFFFF >= n else -(u32 + 1))
+        assert _task_indices(halves, n).tolist() == expected
+        # A zero draw fails the fast test and encodes as -1, never as "no half".
+        assert expected[0] == -1
+
+    def test_retry_accepts_at_the_threshold_and_rejects_below(self):
+        """For n = 3 the threshold is 1: u32 = 0xAAAAAAAB leaves exactly 1 and
+        is accepted; u32 = 0 leaves 0 and is rejected for the buffered half."""
+        n = 3
+        assert (4294967296 - n) % n == 1
+        block = ([], [], [])
+        bitgen = np.random.default_rng(0).bit_generator
+        assert _lemire_retry(-(0xAAAAAAAB + 1), n, None, 0, block, bitgen) == (
+            2, None, 0, block
+        )
+        assert _lemire_retry(-1, n, 1, 0, block, bitgen) == (1, None, 0, block)
 
 
 # --------------------------------------------------------------------------- #
