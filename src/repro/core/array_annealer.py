@@ -25,7 +25,9 @@ walk here moves the remaining per-proposal Python overhead onto flat arrays:
 
   Packets with exactly one idle processor (and a ready task) — the fast
   engine's common epoch, which carries almost all annealing proposals —
-  run :func:`_single_idle_walk` instead, with the same generator protocol.
+  run :func:`_one_slot_walk` instead, with the same generator protocol, on
+  a :class:`OneSlotPacket`'s two columns (a kernel reaches it through the
+  :func:`_single_idle_walk` adapter).
   Its whole mapping is one integer (the task on the processor, or -1), each
   task's add and drop deltas are built once per packet, and its draw blocks
   carry every 32-bit half already mapped to numpy's ``integers(0, n_ready)``
@@ -47,22 +49,26 @@ walk here moves the remaining per-proposal Python overhead onto flat arrays:
   construction** — the contract :func:`anneal_replicas_scalar` pins in the
   differential tests.
 
-* :func:`compile_fast_packet` — builds an index-space
+* :func:`compile_fast_packet` — lowers a fast-engine
+  :class:`~repro.sim.compile.FastPacket` straight from a
+  :class:`ReadyRowCache`.  A ready task's equation-4 row and its share of
+  ``dF_c`` are run-long invariants, so the cache builds both once per task
+  per run — the row from the compiled scenario's per-edge tensor instead of
+  ``cost_row`` calls (same accumulation order, bit-identical rows).  An epoch
+  with one idle processor then only gathers two columns and takes two
+  numpy maxima for its :class:`OneSlotPacket`, which the single chain
+  anneals as is; any other epoch gathers the ready × idle slice and sorts
+  the cached totals into an index-space
   :class:`~repro.core.packet.AnnealingPacket` and its
-  :class:`~repro.core.kernel.PacketKernel` directly from a fast-engine
-  :class:`~repro.sim.compile.FastPacket`.  A ready task's equation-4 row and
-  its share of ``dF_c`` are run-long invariants, so a :class:`ReadyRowCache`
-  builds both once per task per run — the row from the compiled scenario's
-  per-edge tensor instead of ``cost_row`` calls (same accumulation order,
-  bit-identical rows) — and each epoch only gathers the ready × idle slice
-  and sorts the cached totals.  This is what gives SA a real
+  :class:`~repro.core.kernel.PacketKernel`.  This is what gives SA a real
   ``fast_assign``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Generator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, ClassVar, Generator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -73,6 +79,7 @@ from repro.annealing.stopping import (
     MaxIterationsStopping,
     StallStopping,
 )
+from repro.core.cost import CostBreakdown
 from repro.core.kernel import (
     PacketKernel,
     comm_range_from_totals,
@@ -82,6 +89,7 @@ from repro.core.moves import _DROP_PROBABILITY
 from repro.core.packet import AnnealingPacket, PacketMapping
 
 __all__ = [
+    "OneSlotPacket",
     "ReadyRowCache",
     "anneal_array",
     "anneal_replicas_batched",
@@ -504,58 +512,123 @@ def _lemire_retry(enc: int, n: int, half, pos: int, block, bitgen):
             return enc, half, pos, block
 
 
-def _one_slot_cost(kernel: PacketKernel, task: int) -> float:
-    """:func:`_array_walk`'s ``full_cost()`` of ``{task: 0}`` (``{}`` for -1)."""
-    acc = 0
-    fc = 0.0
-    if task >= 0:
-        acc = acc + kernel.balance_rows[task][0]
-        if kernel.comm_enabled:
-            fc += kernel.comm_rows[task][0]
-    wb, wc = kernel.weight_balance, kernel.weight_comm
-    return wc * fc / kernel.comm_range + wb * (-acc) / kernel.balance_range
+@dataclass(eq=False)
+class OneSlotPacket:
+    """An epoch with one idle processor and a ready task, lowered to two columns.
+
+    Entry *i* belongs to ready task ``tasks[i]`` on ``proc``: ``balance`` is
+    its balance reward (the level, times the processor's speed when that is
+    not 1) and ``comm`` its equation-4 cost, bit for bit the single column
+    of the epoch's :class:`~repro.core.kernel.PacketKernel`.  Built by
+    :func:`compile_fast_packet` (which sets ``fast_packet``, so
+    :meth:`kernel` can build the full kernel) or :meth:`of_kernel`.
+    """
+
+    fast_packet: Any
+    tasks: Sequence[int]
+    proc: int
+    hlf: int  #: the HLF seed: the first index of the highest level
+    balance: np.ndarray
+    comm: np.ndarray
+    balance_range: float
+    comm_range: float
+    weight_balance: float
+    weight_comm: float
+    comm_enabled: bool
+    n_idle: ClassVar[int] = 1
+
+    @property
+    def n_ready(self) -> int:
+        return len(self.tasks)
+
+    @classmethod
+    def of_kernel(cls, kernel: PacketKernel) -> "OneSlotPacket":
+        """The columns of a kernel with one idle processor and a ready task."""
+        levels = kernel.levels
+        return cls(
+            None, kernel.tasks, kernel.procs[0], levels.index(max(levels)),
+            np.array([row[0] for row in kernel.balance_rows], dtype=np.float64),
+            np.array([row[0] for row in kernel.comm_rows], dtype=np.float64),
+            kernel.balance_range, kernel.comm_range,
+            kernel.weight_balance, kernel.weight_comm, kernel.comm_enabled,
+        )
+
+    def kernel(self) -> PacketKernel:
+        """The epoch's :class:`~repro.core.kernel.PacketKernel`, bit-identical
+        to the one :func:`compile_fast_packet` builds for wider epochs."""
+        return _packet_kernel(
+            self.fast_packet, self.comm[:, None], self.comm_range,
+            self.weight_balance, self.weight_comm,
+        )
+
+    def breakdown(self, task: int) -> CostBreakdown:
+        """Equation 6's parts with *task* on the processor (``-1``: none),
+        summed like :meth:`PacketKernel.total_cost`."""
+        fb, fc = 0, 0.0
+        if task >= 0:
+            fb = -(0 + float(self.balance[task]))
+            if self.comm_enabled:
+                fc += float(self.comm[task])
+        total = self.weight_comm * fc / self.comm_range + self.weight_balance * fb / self.balance_range
+        return CostBreakdown(fb, fc, total)
 
 
 def _single_idle_walk(
-    kernel: PacketKernel,
-    problem,
+    kernel: PacketKernel, problem, rng, moves: int, resync_tolerance: float, cooling, t0
+) -> Generator[Tuple[float, float], bool, AnnealingResult]:
+    """:func:`_one_slot_walk` over a one-idle-processor kernel: the adapter
+    lanes, the object engine and the tests drive.  It seeds from *problem*
+    (and asks it for ``t0=None``) the way :func:`_array_walk` does."""
+    placed = list(problem.initial_state(rng).task_to_proc)
+    if t0 is None:
+        t0 = problem.initial_temperature(rng)
+    return (yield from _one_slot_walk(
+        OneSlotPacket.of_kernel(kernel), placed[0] if placed else -1,
+        rng, moves, resync_tolerance, cooling, t0,
+    ))
+
+
+def _one_slot_walk(
+    slot: OneSlotPacket,
+    start: int,
     rng,
     moves: int,
     resync_tolerance: float,
     cooling,
-    t0: Optional[float],
+    t0: float,
 ) -> Generator[Tuple[float, float], bool, AnnealingResult]:
-    """:func:`_array_walk` for packets with one idle processor and a ready task.
+    """:func:`_array_walk` for an epoch with one idle processor and a ready task.
 
     Same protocol, same draws and the same float operations in the same
     order, so the results (and the raw words drawn) are bit-identical.  The
-    mapping is one integer, the task on the processor or ``-1``: a drop
-    empties it, a task drawn onto the empty processor is added, a different
-    task replaces the occupant and the occupant itself is a zero-delta
-    proposal.  Each task's add and drop deltas are built once per packet;
-    the replace delta is computed inline.  Task draws come pre-indexed from
-    the draw block (:func:`_draw_block`).
+    mapping is one integer, the task on the processor or ``-1`` (*start*):
+    a drop empties it, a task drawn onto the empty processor is added, a
+    different task replaces the occupant and the occupant itself is a
+    zero-delta proposal.  Each task's add and drop deltas are built once per
+    packet; the replace delta is computed inline.  Task draws come
+    pre-indexed from the draw block (:func:`_draw_block`).
     """
-    placed = list(problem.initial_state(rng).task_to_proc)
-    state = placed[0] if placed else -1
-    n = kernel.n_ready
-    b = [row[0] for row in kernel.balance_rows]
-    c = [row[0] for row in kernel.comm_rows]
-    wb, wc = kernel.weight_balance, kernel.weight_comm
-    br, cr = kernel.balance_range, kernel.comm_range
+    state = start
+    n = slot.n_ready
+    b = slot.balance.tolist()
+    c = slot.comm.tolist()
+    wb, wc = slot.weight_balance, slot.weight_comm
+    br, cr = slot.balance_range, slot.comm_range
     # Each task's add and drop deltas, vectorized: numpy's float64 ops round
     # exactly like _array_walk's scalar ones, applied in the same order.
-    b_col, c_col = np.array((b, c))
+    b_col, c_col = slot.balance, slot.comm
     add = (wc * (0.0 + c_col) / cr + wb * (0.0 - b_col) / br).tolist()
     drop = (wc * (0.0 - c_col) / cr + wb * (0.0 + b_col) / br).tolist()
+    # Each state's _array_walk full_cost() for the resync; full[-1] is {}'s.
+    fc_col = 0.0 + c_col if slot.comm_enabled else 0.0
+    full = (wc * fc_col / cr + wb * (-(0.0 + b_col)) / br).tolist()
+    full.append(slot.breakdown(-1).total)
     # The occupant's (balance_delta, comm_delta) when it leaves; unused while
     # the processor is empty.
     sb, sc = 0.0 + b[state], 0.0 - c[state]
-    cost = best_cost = _one_slot_cost(kernel, state)
+    cost = best_cost = full[state]
     best = state
 
-    if t0 is None:
-        t0 = problem.initial_temperature(rng)
     if t0 <= 0:
         raise ValueError(f"initial temperature must be > 0, got {t0}")
 
@@ -642,7 +715,7 @@ def _single_idle_walk(
                     best_cost = cost
                     best = state
         n_proposals += moves
-        resynced = _one_slot_cost(kernel, state)
+        resynced = full[state]
         if abs(resynced - cost) > resync_tolerance:
             cost = resynced
         outer += 1
@@ -661,8 +734,10 @@ def _single_idle_walk(
     )
 
 
-def _walk_for(kernel: PacketKernel):
+def _walk_for(kernel):
     """The resumable walk for *kernel*'s packet shape (same results either way)."""
+    if isinstance(kernel, OneSlotPacket):
+        return _one_slot_walk
     if kernel.n_idle == 1 and kernel.n_ready >= 1:
         return _single_idle_walk
     return _array_walk
@@ -678,7 +753,7 @@ def _finish(walk) -> AnnealingResult:
 
 
 def anneal_array(
-    kernel: PacketKernel,
+    kernel,
     problem,
     annealer: Annealer,
     rng,
@@ -691,8 +766,10 @@ def anneal_array(
     walk with ``annealer.stopping``, which sees every temperature step's
     ``(step, cost)``: :func:`_single_idle_walk` when the packet has one idle
     processor and a ready task, :func:`_array_walk` otherwise (same result
-    either way).  See the module docstring for the draw-block and
-    insertion-order machinery.
+    either way).  *kernel* may also be a :class:`OneSlotPacket`, walked by
+    :func:`_one_slot_walk`; *problem* is then the start, the task index on
+    the processor or ``-1``.  See the module docstring for the draw-block
+    and insertion-order machinery.
     """
     if type(annealer.acceptance) is not BoltzmannSigmoidAcceptance:
         raise ValueError("anneal_array requires BoltzmannSigmoidAcceptance")
@@ -882,12 +959,31 @@ class ReadyRowCache:
     def __init__(self, scenario) -> None:
         n = scenario.n_tasks
         self.scenario = scenario
-        self.have: List[bool] = [False] * n
+        self.have = np.zeros(n, dtype=bool)
         #: ``rows[t, p]``: the equation-4 cost of placing task *t* on processor *p*.
         self.rows = np.zeros((n, scenario.n_procs), dtype=np.float64)
-        #: Worst-case comm total per task; ``None`` without predecessors (or
-        #: communication), which keeps the task out of ``dF_c``.
-        self.totals: List[Optional[float]] = [None] * n
+        #: Worst-case comm total per task; ``-inf`` without predecessors (or
+        #: communication), which keeps the task out of ``dF_c``.  An array,
+        #: so a one-idle epoch's ``dF_c`` is one numpy max.
+        self.totals = np.full(n, -np.inf)
+
+
+def _packet_kernel(fast_packet, comm_table, comm_range, weight_balance, weight_comm):
+    """The epoch's annealing packet and kernel around a gathered comm table."""
+    sc = fast_packet.scenario
+    ready = fast_packet.ready
+    levels_list = sc.levels_list
+    packet = AnnealingPacket(
+        time=fast_packet.time,
+        ready_tasks=tuple(ready),
+        idle_processors=tuple(fast_packet.idle),
+        levels={ti: levels_list[ti] for ti in ready},
+        predecessor_placement={},
+    )
+    return PacketKernel.from_tables(
+        packet, sc.machine, sc.comm_model, comm_table, comm_range,
+        weight_balance, weight_comm,
+    )
 
 
 def compile_fast_packet(
@@ -895,8 +991,8 @@ def compile_fast_packet(
     cache: ReadyRowCache,
     weight_balance: float = 0.5,
     weight_comm: float = 0.5,
-) -> Tuple[AnnealingPacket, PacketKernel]:
-    """Lower one fast-engine epoch into an annealing packet and its kernel.
+) -> Union[PacketKernel, OneSlotPacket]:
+    """Lower one fast-engine epoch into a kernel, or two columns for one idle processor.
 
     *fast_packet* is a :class:`~repro.sim.compile.FastPacket` (duck-typed to
     avoid a core → sim import) and *cache* the run's :class:`ReadyRowCache`
@@ -905,12 +1001,18 @@ def compile_fast_packet(
     from the precompiled per-edge equation-4 tensor, one predecessor at a
     time from 0.0 (the accumulation order of
     :func:`~repro.comm.model.comm_cost_table`), and its worst-case total
-    from :func:`~repro.core.kernel.worst_case_comm_totals`.  The epoch then
-    gathers the ready × idle slice of the rows and sorts the ready tasks'
-    totals (:func:`~repro.core.kernel.comm_range_from_totals`), so the
-    tables and ranges (and therefore every annealing decision) are
-    bit-identical to the ones the materialized-context path would build.
-    The packet carries no predecessor placement: the kernel's tables
+    from :func:`~repro.core.kernel.worst_case_comm_totals`.
+
+    An epoch with one idle processor and a ready task — the common shape —
+    becomes a :class:`OneSlotPacket`: the levels (speed-scaled) and the
+    processor's column of the rows, ``dF_b`` from their max and min and
+    ``dF_c`` from the max of the totals.  Any other epoch becomes a
+    :class:`~repro.core.kernel.PacketKernel` (its annealing packet is
+    ``kernel.packet``): the ready × idle slice of the rows and ``dF_c`` from
+    the sorted totals (:func:`~repro.core.kernel.comm_range_from_totals`).
+    Either way the columns, tables and ranges (and therefore every annealing
+    decision) are bit-identical to the ones the materialized-context path
+    would build.  The packet carries no predecessor placement: the tables
     already encode it.
     """
     sc = fast_packet.scenario
@@ -918,9 +1020,10 @@ def compile_fast_packet(
         raise ValueError("the row cache was built for another compiled scenario")
     ready = fast_packet.ready
     idle = fast_packet.idle
+    index = np.array(ready, dtype=np.intp)  # one conversion for every gather
     have, rows, totals = cache.have, cache.rows, cache.totals
-    new = [ti for ti in ready if not have[ti]]
-    pc = sc._pred_costs  # None for the zero model: rows stay 0.0, totals None
+    new = index[~have[index]].tolist()
+    pc = sc._pred_costs  # None for the zero model: rows stay 0.0, totals -inf
     if new and pc is not None:
         indptr = sc.pred_indptr_list
         pred_ids = sc.pred_ids_list
@@ -936,28 +1039,30 @@ def compile_fast_packet(
                 row += pc[e, assigned[pred_ids[e]]]
             with_preds.append(ti)
             weight_lists.append(sc.pred_weights[lo:hi].tolist())
-        for ti, total in zip(with_preds, worst_case_comm_totals(sc.machine, weight_lists)):
-            totals[ti] = total
-    for ti in new:
-        have[ti] = True
-    levels_list = sc.levels_list
-    packet = AnnealingPacket(
-        time=fast_packet.time,
-        ready_tasks=tuple(ready),
-        idle_processors=tuple(idle),
-        levels={ti: levels_list[ti] for ti in ready},
-        predecessor_placement={},
-    )
+        if with_preds:
+            totals[with_preds] = worst_case_comm_totals(sc.machine, weight_lists)
+    have[new] = True
+    ready_totals = totals[index]
+    if len(idle) == 1 and ready:
+        # compute_balance_range and comm_range_from_totals for k = 1: a
+        # positive speed keeps the extreme levels extreme, bit for bit.
+        p = idle[0]
+        levels = sc.levels[index]
+        speed = sc.speeds_list[p]
+        balance = levels if speed == 1.0 else levels * speed
+        high = float(balance.max())
+        balance_range = high - float(balance.min())
+        if balance_range <= 0.0:
+            balance_range = max(abs(high), 1.0)
+        comm_range = float(ready_totals.max())
+        return OneSlotPacket(
+            fast_packet, ready, p, int(levels.argmax()), balance, rows[:, p][index],
+            balance_range, comm_range if comm_range > 0 else 1.0,
+            float(weight_balance), float(weight_comm), sc.comm_model.enabled,
+        )
     comm_range = comm_range_from_totals(
-        [t for t in map(totals.__getitem__, ready) if t is not None], len(idle)
+        ready_totals[ready_totals > -np.inf].tolist(), len(idle)
     )
-    kernel = PacketKernel.from_tables(
-        packet,
-        sc.machine,
-        sc.comm_model,
-        rows[np.ix_(ready, idle)],
-        comm_range,
-        weight_balance,
-        weight_comm,
+    return _packet_kernel(
+        fast_packet, rows[np.ix_(index, idle)], comm_range, weight_balance, weight_comm
     )
-    return packet, kernel

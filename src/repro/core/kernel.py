@@ -30,7 +30,11 @@ per-packet sort/clamp/sum step (:func:`comm_range_from_totals`):
 the fast engine's front end
 (:func:`~repro.core.array_annealer.compile_fast_packet`) caches each task's
 full-width row and total the first epoch it is ready and hands the
-per-packet slices to :meth:`PacketKernel.from_tables`.
+per-packet slices to :meth:`PacketKernel.from_tables`.  An epoch with one
+idle processor is handed off only when a path needs a kernel (replica and
+portfolio lanes, the kernel walk, non-sigmoid rules); the single chain
+anneals its two columns without one
+(:class:`~repro.core.array_annealer.OneSlotPacket`).
 
 The kernel also exposes the packet in *index space* (ready task *i* stands
 for ``tasks[i]``, idle processor *j* for ``procs[j]``): the annealer runs its

@@ -19,7 +19,7 @@ uncompiled runs accept exactly the same moves for a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 import heapq
 import math
@@ -37,7 +37,7 @@ from repro.annealing.problem import AnnealingProblem
 from repro.annealing.replicas import ReplicaStats, best_replica_index
 from repro.annealing.stopping import CombinedStopping, MaxIterationsStopping, StallStopping
 from repro.comm.model import CommunicationModel
-from repro.core.array_annealer import anneal_array, anneal_replicas_batched
+from repro.core.array_annealer import OneSlotPacket, anneal_array, anneal_replicas_batched
 from repro.core.config import SAConfig
 from repro.core.cost import CostBreakdown, PacketCostFunction
 from repro.core.kernel import PacketKernel
@@ -455,14 +455,17 @@ class PacketAnnealer:
             record_trajectory=False,
         )
 
+    def _walks_arrays(self) -> bool:
+        """Whether the compiled walk is the array tier: the configured default,
+        with the sigmoid acceptance rule the array walk inlines."""
+        cfg = self.config
+        return cfg.walk == "array" and type(cfg.acceptance) is BoltzmannSigmoidAcceptance
+
     def _fused_walk(self, kernel: PacketKernel, problem, annealer: Annealer, rng) -> AnnealingResult:
         """The compiled inner walk: array tier by default, kernel tier as the
         configured alternative (and the automatic fallback for non-sigmoid
         acceptance rules, which the array walk does not inline)."""
-        if (
-            self.config.walk == "array"
-            and type(annealer.acceptance) is BoltzmannSigmoidAcceptance
-        ):
+        if self._walks_arrays():
             return anneal_array(kernel, problem, annealer, rng)
         return _anneal_indexed(kernel, problem, annealer, rng)
 
@@ -588,23 +591,31 @@ class PacketAnnealer:
     # ------------------------------------------------------------------ #
     def anneal_compiled(
         self,
-        packet: AnnealingPacket,
-        kernel: PacketKernel,
+        kernel: Union[PacketKernel, OneSlotPacket],
         rng=None,
         seed_assignments: Optional[Dict[TaskId, Dict[TaskId, ProcId]]] = None,
     ) -> PacketAnnealingOutcome:
-        """Anneal over a prebuilt kernel (no trajectory recording).
+        """Anneal over a prebuilt kernel or one-slot lowering (no trajectory recording).
 
         The entry point of :meth:`SAScheduler.fast_assign
         <repro.core.sa_scheduler.SAScheduler.fast_assign>`: the caller
-        already lowered the epoch into *packet* + *kernel*
+        already lowered the epoch
         (:func:`repro.core.array_annealer.compile_fast_packet`), so this
         skips the :class:`~repro.core.cost.PacketCostFunction` build and runs
         the same split-rng / seed-cost / fused-walk sequence as
-        :meth:`anneal` — bit-identical outcomes when the tables are.
+        :meth:`anneal` — bit-identical outcomes when the tables are.  A
+        :class:`~repro.core.array_annealer.OneSlotPacket` is annealed
+        directly on the single-chain array walk (:meth:`_anneal_one_slot`);
+        replica and portfolio lanes, ``walk="kernel"`` and non-sigmoid rules
+        anneal over its :meth:`~repro.core.array_annealer.OneSlotPacket.kernel`.
         """
         cfg = self.config
         rng = as_rng(rng)
+        if isinstance(kernel, OneSlotPacket):
+            if cfg.replicas == 1 and cfg.portfolio is None and self._walks_arrays():
+                return self._anneal_one_slot(kernel, rng)
+            kernel = kernel.kernel()
+        packet = kernel.packet
         if cfg.replicas > 1:
             return self._anneal_compiled_replicas(packet, kernel, split(rng, cfg.replicas))
         if cfg.portfolio is not None and kernel.n_ready and kernel.n_idle:
@@ -626,6 +637,35 @@ class PacketAnnealer:
             n_accepted=result.n_accepted,
             n_temperature_steps=result.n_iterations,
             trajectory=[],
+        )
+
+    def _anneal_one_slot(self, slot: OneSlotPacket, rng) -> PacketAnnealingOutcome:
+        """The single chain over a one-slot lowering, with no kernel or problem.
+
+        Consumes *rng* like the kernel path: :func:`_split_rng`'s seed, but
+        only the run generator is built; the walk starts where the problem
+        would (``"random"``: the task :meth:`PacketMappingProblem.random_mapping`
+        draws from the run generator) and runs through ``anneal_array``.
+        """
+        initial = self.config.initial_mapping
+        run_rng = np.random.default_rng(_run_seed(rng))
+        if initial == "hlf":
+            start = slot.hlf
+        elif initial == "random":
+            start = int(run_rng.permutation(slot.n_ready)[0])
+            run_rng.permutation(1)  # random_mapping's processor draw
+        else:
+            start = -1
+        result = anneal_array(slot, start, self._build_annealer(slot), run_rng)
+        best = next(iter(result.best_state.task_to_proc), -1)
+        return PacketAnnealingOutcome(
+            assignment={slot.tasks[best]: slot.proc} if best >= 0 else {},
+            best_cost=result.best_cost,
+            initial_cost=slot.breakdown(start).total,
+            breakdown=slot.breakdown(best),
+            n_proposals=result.n_proposals,
+            n_accepted=result.n_accepted,
+            n_temperature_steps=result.n_iterations,
         )
 
     # ------------------------------------------------------------------ #
@@ -862,6 +902,11 @@ class PacketAnnealer:
         )
 
 
+def _run_seed(rng) -> int:
+    """The seed of :func:`_split_rng`'s twins, drawn from *rng*."""
+    return int(rng.integers(0, 2**63 - 1))
+
+
 def _split_rng(rng):
     """Return two generators that produce identical streams.
 
@@ -869,7 +914,5 @@ def _split_rng(rng):
     seed mapping computed outside the annealer matches the one the annealer
     rebuilds internally for the "random" initial-mapping strategy.
     """
-    import numpy as np
-
-    seed = int(rng.integers(0, 2**63 - 1))
+    seed = _run_seed(rng)
     return np.random.default_rng(seed), np.random.default_rng(seed)

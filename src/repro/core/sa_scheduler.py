@@ -122,7 +122,7 @@ class SAScheduler(SchedulingPolicy):
 
     # ------------------------------------------------------------------ #
     def _record_outcome(
-        self, time: float, packet: AnnealingPacket, outcome: PacketAnnealingOutcome
+        self, time: float, packet, outcome: PacketAnnealingOutcome
     ) -> None:
         self.packet_stats.append(
             PacketStats(
@@ -215,15 +215,17 @@ class SAScheduler(SchedulingPolicy):
     def fast_assign(self, packet) -> Optional[Dict[int, ProcId]]:
         """Index-space epoch assignment over the compiled scenario tables.
 
-        Lowers the :class:`~repro.sim.compile.FastPacket` into an annealing
-        packet + kernel (:func:`~repro.core.array_annealer.compile_fast_packet`
-        gathers the equation-4 table from per-task rows cached for the whole
-        run, like ETF's arrival rows) and runs the same spawn / split / walk
-        sequence as :meth:`assign`, so a fast-engine run commits
-        bit-identical mappings and consumes the scheduler RNG identically.
-        Declines (before touching any stochastic state) for the reference
-        path (``compiled=False``) and for trajectory-recording runs, which
-        need the materialized context.
+        Lowers the :class:`~repro.sim.compile.FastPacket` from per-task rows
+        cached for the whole run, like ETF's arrival rows
+        (:func:`~repro.core.array_annealer.compile_fast_packet`): an epoch
+        with one idle processor becomes two columns
+        (:class:`~repro.core.array_annealer.OneSlotPacket`), any other a
+        kernel.  It then runs the same spawn / split / walk sequence as
+        :meth:`assign`, so a fast-engine run commits bit-identical mappings
+        and consumes the scheduler RNG identically.  Declines (before
+        touching any stochastic state) for the reference path
+        (``compiled=False``) and for trajectory-recording runs, which need
+        the materialized context.
         """
         cfg = self.config
         if not cfg.compiled or cfg.record_trajectories:
@@ -233,13 +235,11 @@ class SAScheduler(SchedulingPolicy):
         cache = self._fast_cache
         if cache is None or cache.scenario is not packet.scenario:
             cache = self._fast_cache = ReadyRowCache(packet.scenario)
-        apacket, kernel = compile_fast_packet(
-            packet, cache, cfg.weight_balance, cfg.weight_comm
-        )
+        lowered = compile_fast_packet(packet, cache, cfg.weight_balance, cfg.weight_comm)
         seeds = self._portfolio_seeds(lambda: ETFScheduler().fast_assign(packet))
         packet_rng = spawn_rng(self._rng, 1)[0]
         outcome = self._annealer.anneal_compiled(
-            apacket, kernel, packet_rng, seed_assignments=seeds
+            lowered, packet_rng, seed_assignments=seeds
         )
         if not outcome.assignment:
             # Progress guarantee, mirroring assign(): highest-level ready
@@ -247,7 +247,7 @@ class SAScheduler(SchedulingPolicy):
             levels = packet.scenario.levels_list
             top_task = max(packet.ready, key=lambda ti: levels[ti])
             outcome.assignment = {top_task: packet.idle[0]}
-        self._record_outcome(packet.time, apacket, outcome)
+        self._record_outcome(packet.time, packet, outcome)
         return outcome.assignment
 
     # ------------------------------------------------------------------ #

@@ -1,6 +1,6 @@
 """The array-native annealing walks: equivalence, batching, SA fast path.
 
-Five contracts are pinned here:
+Six contracts are pinned here:
 
 * the single-chain array walk (``SAConfig(walk="array")``, the default)
   replays the kernel walk (``walk="kernel"``) and the reference path
@@ -20,11 +20,15 @@ Five contracts are pinned here:
   result for result and raw word for raw word, and its pre-indexed task
   draws decode to numpy's own ``integers(0, n)``, rejection loop included;
 * :func:`~repro.core.array_annealer.compile_fast_packet`, through SA's
-  run-long row cache, builds kernels bit-identical to the cold
+  run-long row cache, builds kernels — and, for one-idle epochs, one-slot
+  columns and ranges — bit-identical to the cold
   :class:`~repro.core.kernel.PacketKernel` of each epoch's materialized
   context, so SA's ``fast_assign`` commits the same mappings as the
   fallback it replaces (and the fast engine reports zero fallback epochs
   for SA); the cache never outlives its run;
+* the single chain anneals a one-slot lowering directly, with the outcome,
+  RNG consumption and whole-run results of annealing its kernel, and
+  builds a kernel only for wider epochs (replica lanes still get one);
 * the ``replicas=`` knob threads through ``SAConfig`` → ``SAScheduler`` →
   ``simulate`` → sweep specs.
 """
@@ -32,6 +36,7 @@ Five contracts are pinned here:
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,22 +44,27 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.array_annealer as array_annealer_module
+import repro.core.packet_annealer as packet_annealer_module
 import repro.core.sa_scheduler as sa_scheduler_module
 from repro.annealing.cooling import GeometricCooling, LinearCooling
 from repro.annealing.replicas import ReplicaStats, best_replica_index, summarize_replicas
 from repro.annealing.stopping import StoppingRule
 from repro.comm.model import LinearCommModel, ZeroCommModel
 from repro.core.array_annealer import (
+    OneSlotPacket,
+    ReadyRowCache,
     _array_walk,
     _draw_block,
     _finish,
     _lemire_retry,
+    _one_slot_walk,
     _single_idle_walk,
     _task_indices,
     _walk_for,
     anneal_array,
     anneal_replicas_batched,
     anneal_replicas_scalar,
+    compile_fast_packet,
 )
 from repro.core.config import SAConfig
 from repro.core.cost import PacketCostFunction
@@ -71,11 +81,12 @@ from repro.exceptions import ConfigurationError, SimulationError
 from repro.machine.machine import Machine
 from repro.schedulers.base import PacketContext, SchedulingPolicy
 from repro.schedulers.hlf import HLFScheduler
-from repro.sim.compile import compile_scenario
+from repro.sim.compile import FastPacket, compile_scenario
 from repro.sim.engine import simulate
 from repro.sim.fast_engine import run_lanes
 from repro.taskgraph.families import build_family
 from repro.taskgraph.generators import layered_random, random_dag
+from repro.taskgraph.graph import TaskGraph
 from repro.utils.rng import as_rng, split
 
 # --------------------------------------------------------------------------- #
@@ -690,36 +701,61 @@ def _ctx_of(packet, comm_model):
     )
 
 
-def _sa_kernels_of_run(graph, machine, comm_model, monkeypatch):
-    """Every kernel SA anneals over in one fast-engine run, with its reference.
+def _cold_kernel(packet, comm_model, weight_balance=0.5, weight_comm=0.5):
+    """The kernel of one fast-engine epoch's materialized context."""
+    return PacketKernel(
+        AnnealingPacket.from_context(_ctx_of(packet, comm_model)),
+        packet.scenario.machine,
+        comm_model=comm_model,
+        weight_balance=weight_balance,
+        weight_comm=weight_comm,
+    )
+
+
+def _sa_kernels_of_run(graph, machine, comm_model, monkeypatch, config=None):
+    """Every lowering SA anneals over in one fast-engine run, with its reference.
 
     Wraps ``compile_fast_packet`` at the name ``SAScheduler.fast_assign``
-    calls, so the kernels come through the run-long row cache; each is
-    paired with the cold kernel built from the epoch's materialized context.
+    calls, so the lowerings come through the run-long row cache: a
+    :class:`OneSlotPacket` for each one-idle epoch, a kernel otherwise.  Each
+    is paired with the cold kernel built from the epoch's materialized
+    context.
     """
     captured = []
     cached = sa_scheduler_module.compile_fast_packet
 
     def capture(packet, cache, weight_balance, weight_comm):
-        apacket, kernel = cached(packet, cache, weight_balance, weight_comm)
-        reference = PacketKernel(
-            AnnealingPacket.from_context(_ctx_of(packet, comm_model)),
-            machine,
-            comm_model=comm_model,
-            weight_balance=weight_balance,
-            weight_comm=weight_comm,
-        )
-        captured.append((list(packet.ready), apacket, kernel, reference))
-        return apacket, kernel
+        lowered = cached(packet, cache, weight_balance, weight_comm)
+        reference = _cold_kernel(packet, comm_model, weight_balance, weight_comm)
+        captured.append((list(packet.ready), lowered, reference))
+        return lowered
 
     monkeypatch.setattr(sa_scheduler_module, "compile_fast_packet", capture)
-    result = simulate(graph, machine, SAScheduler(SAConfig.paper_defaults(seed=0)),
+    config = config or SAConfig.paper_defaults(seed=0)
+    result = simulate(graph, machine, SAScheduler(config),
                       comm_model=comm_model, record_trace=False, fast=True)
     assert result.n_fallback_epochs == 0
     return captured
 
 
-def _assert_kernel_equals_reference(kernel, apacket, reference, task_ids):
+def _assert_slot_equals_reference(slot, reference, task_ids):
+    """A one-slot lowering holds the cold kernel's single column, bit for bit."""
+    assert _walk_for(slot) is _one_slot_walk
+    assert [task_ids[i] for i in slot.tasks] == list(reference.tasks)
+    assert (slot.proc,) == reference.procs
+    for got, rows in ((slot.balance, reference.balance_rows),
+                      (slot.comm, reference.comm_rows)):
+        assert got.dtype == np.float64
+        want = np.array([row[0] for row in rows], dtype=np.float64)
+        assert got.tobytes() == want.tobytes()
+    for name in ("balance_range", "comm_range", "weight_balance",
+                 "weight_comm", "comm_enabled"):
+        assert getattr(slot, name) == getattr(reference, name), name
+    hlf = PacketMappingProblem(reference.index_packet(), reference).hlf_mapping()
+    assert hlf.task_to_proc == {slot.hlf: 0}
+
+
+def _assert_kernel_equals_reference(kernel, reference, task_ids):
     """Every PacketKernel field of the cached kernel equals the cold one.
 
     The cached kernel runs on dense task indices; the reference on task ids.
@@ -728,7 +764,6 @@ def _assert_kernel_equals_reference(kernel, apacket, reference, task_ids):
     for name in PacketKernel.__slots__:
         got, want = getattr(kernel, name), getattr(reference, name)
         if name == "packet":
-            assert got is apacket
             assert got.time == want.time
             assert got.idle_processors == want.idle_processors
             assert [got.levels[i] for i in kernel.tasks] == [want.levels[t] for t in ids]
@@ -762,15 +797,203 @@ def test_compile_fast_packet_tables_bit_identical(
     else:
         graph = build_family(family, seed=0)
     captured = _sa_kernels_of_run(graph, machine, comm_model, monkeypatch)
-    assert captured, "no epochs captured"
     task_ids = graph.tasks
     seen = set()
     carried_over = 0
-    for ready, apacket, kernel, reference in captured:
-        _assert_kernel_equals_reference(kernel, apacket, reference, task_ids)
+    n_one_slot = 0
+    for ready, lowered, reference in captured:
+        if isinstance(lowered, OneSlotPacket):
+            n_one_slot += 1
+            _assert_slot_equals_reference(lowered, reference, task_ids)
+            lowered = lowered.kernel()
+        _assert_kernel_equals_reference(lowered, reference, task_ids)
         carried_over += sum(1 for ti in ready if ti in seen)
         seen.update(ready)
     assert carried_over > 0
+    assert 0 < n_one_slot < len(captured), "both lowerings must be exercised"
+
+
+def _one_idle_epoch(graph, ready, placed, machine=None):
+    """A hand-built one-idle fast-engine epoch: *ready* task ids waiting for
+    processor 3, the tasks of *placed* (id -> processor) finished."""
+    machine = machine or Machine.hypercube(3)
+    sc = compile_scenario(graph, machine, LinearCommModel(), levels=graph.levels())
+    assigned = np.full(sc.n_tasks, -1, dtype=np.int64)
+    for task, p in placed.items():
+        assigned[sc.index_of[task]] = p
+    return FastPacket(
+        time=10.0, ready=[sc.index_of[t] for t in ready], idle=[3],
+        scenario=sc, assigned_proc=assigned,
+        finish_times=np.zeros(sc.n_tasks), proc_ready_time=np.zeros(sc.n_procs),
+    )
+
+
+def _assert_lowering_matches_cold_kernel(packet):
+    comm_model = packet.scenario.comm_model
+    slot = compile_fast_packet(packet, ReadyRowCache(packet.scenario))
+    reference = _cold_kernel(packet, comm_model)
+    task_ids = packet.scenario.task_ids
+    _assert_slot_equals_reference(slot, reference, task_ids)
+    _assert_kernel_equals_reference(slot.kernel(), reference, task_ids)
+    return slot
+
+
+class TestOneSlotLowering:
+    def test_tied_top_levels_seed_the_first_in_ready_order(self):
+        graph = TaskGraph()
+        for task, duration in (("low", 2.0), ("b", 7.0), ("a", 7.0), ("c", 7.0)):
+            graph.add_task(task, duration)
+        slot = _assert_lowering_matches_cold_kernel(
+            _one_idle_epoch(graph, ["low", "c", "a", "b"], {})
+        )
+        assert slot.hlf == 1
+
+    @pytest.mark.parametrize("machine_kind", ["hom", "het"])
+    def test_ready_tasks_without_predecessors_leave_dF_c_neutral(self, machine_kind):
+        """Entry tasks have no comm total: dF_c is 1.0 although an earlier
+        task has finished and comm is on."""
+        graph = TaskGraph()
+        for task, duration in (("root", 3.0), ("x", 4.0), ("y", 9.0), ("z", 1.5)):
+            graph.add_task(task, duration)
+        graph.add_task("child", 2.0)
+        graph.add_dependency("root", "child", comm=5.0)
+        slot = _assert_lowering_matches_cold_kernel(_one_idle_epoch(
+            graph, ["x", "y", "z"], {"root": 0}, machine=_MACHINES[machine_kind](4)
+        ))
+        assert slot.comm_range == 1.0
+        assert not slot.comm.any()
+
+    def test_predecessor_costs_set_dF_c(self):
+        graph = TaskGraph()
+        for task, duration in (("p", 3.0), ("q", 2.0), ("u", 4.0), ("v", 4.0)):
+            graph.add_task(task, duration)
+        graph.add_dependency("p", "u", comm=5.0)
+        graph.add_dependency("q", "u", comm=1.0)
+        graph.add_dependency("q", "v", comm=2.5)
+        slot = _assert_lowering_matches_cold_kernel(
+            _one_idle_epoch(graph, ["v", "u"], {"p": 0, "q": 7})
+        )
+        assert slot.comm_range > 1.0 and slot.comm.all()
+
+    def test_wider_and_empty_epochs_lower_to_kernels(self):
+        graph = TaskGraph()
+        graph.add_task("a", 1.0)
+        packet = _one_idle_epoch(graph, ["a"], {})
+        for idle in ([2, 5], []):
+            packet.idle = idle
+            lowered = compile_fast_packet(packet, ReadyRowCache(packet.scenario))
+            assert isinstance(lowered, PacketKernel) and lowered.n_idle == len(idle)
+
+
+# --------------------------------------------------------------------------- #
+# The single chain on a one-slot lowering == the same chain on its kernel
+# --------------------------------------------------------------------------- #
+
+
+_LAYERED = dict(n_layers=4, width=12, edge_probability=0.5,
+                mean_duration=15.0, mean_comm=7.0)
+
+
+def _outcome_fields(outcome):
+    return (outcome.assignment, outcome.best_cost, outcome.initial_cost,
+            outcome.breakdown, outcome.n_proposals, outcome.n_accepted,
+            outcome.n_temperature_steps)
+
+
+class TestOneSlotSingleChain:
+    @pytest.mark.parametrize("comm_off", [False, True])
+    @pytest.mark.parametrize("machine_kind", ["hom", "het"])
+    @pytest.mark.parametrize("initial_mapping", ["hlf", "random", "empty"])
+    def test_direct_walk_equals_the_kernel_path(
+        self, initial_mapping, machine_kind, comm_off, monkeypatch
+    ):
+        config = replace(SAConfig.paper_defaults(seed=1), initial_mapping=initial_mapping)
+        comm_model = ZeroCommModel() if comm_off else LinearCommModel()
+        captured = _sa_kernels_of_run(
+            layered_random(seed=5, **_LAYERED), _MACHINES[machine_kind](2),
+            comm_model, monkeypatch, config,
+        )
+        slots = [low for _, low, _ in captured if isinstance(low, OneSlotPacket)]
+        assert len(slots) >= 5
+        annealer = PacketAnnealer(config)
+        for k, slot in enumerate(slots[:12]):
+            direct_rng, kernel_rng = np.random.default_rng(k), np.random.default_rng(k)
+            direct = annealer.anneal_compiled(slot, direct_rng)
+            converted = annealer.anneal_compiled(slot.kernel(), kernel_rng)
+            assert _outcome_fields(direct) == _outcome_fields(converted)
+            assert direct_rng.bit_generator.state == kernel_rng.bit_generator.state
+
+    @pytest.mark.parametrize("weights", [(0.5, 0.5), (0.0, 1.0)])
+    def test_runs_equal_runs_over_kernels(self, weights, monkeypatch):
+        """Whole fast-engine runs commit the same mappings, record the same
+        packet stats and leave the scheduler RNG in the same state when every
+        one-slot lowering is annealed as its kernel instead.  At w_b = 0 the
+        empty mapping can win, and fast_assign's progress fallback fires."""
+        graph = layered_random(seed=6, **_LAYERED)
+        config = SAConfig.paper_defaults(seed=3).with_weights(*weights)
+        empty_wins = []
+        anneal_compiled = PacketAnnealer.anneal_compiled
+
+        def spy(self, lowered, rng=None, seed_assignments=None):
+            outcome = anneal_compiled(self, lowered, rng, seed_assignments)
+            if isinstance(lowered, OneSlotPacket) and not outcome.assignment:
+                empty_wins.append(lowered)
+            return outcome
+
+        def run():
+            policy = SAScheduler(config)
+            result = simulate(graph, Machine.ring(3), policy,
+                              record_trace=False, fast=True)
+            return (result.fingerprint(), policy.packet_stats,
+                    policy._rng.bit_generator.state)
+
+        monkeypatch.setattr(PacketAnnealer, "anneal_compiled", spy)
+        direct = run()
+        lower = sa_scheduler_module.compile_fast_packet
+
+        def lower_to_kernels(*args):
+            lowered = lower(*args)
+            return lowered.kernel() if isinstance(lowered, OneSlotPacket) else lowered
+
+        monkeypatch.setattr(sa_scheduler_module, "compile_fast_packet", lower_to_kernels)
+        assert run() == direct
+        assert any(stats.n_idle == 1 for stats in direct[1])
+        if weights == (0.0, 1.0):
+            assert empty_wins, "the progress fallback never fired"
+
+    def test_single_chain_builds_kernels_only_for_wider_epochs(
+        self, hypercube8, monkeypatch
+    ):
+        """Every packet still walks through packet_annealer.anneal_array (the
+        name the benchmark's hooks wrap); replica lanes get a kernel per epoch."""
+        built = []
+        walks = []
+        init = PacketKernel.__init__
+        walk = packet_annealer_module.anneal_array
+
+        def spy_init(self, packet, *args, **kwargs):
+            built.append(packet.n_idle)
+            init(self, packet, *args, **kwargs)
+
+        def spy_walk(kernel, *args):
+            walks.append(kernel.n_idle)
+            return walk(kernel, *args)
+
+        monkeypatch.setattr(PacketKernel, "__init__", spy_init)
+        monkeypatch.setattr(packet_annealer_module, "anneal_array", spy_walk)
+        graph = layered_random(seed=2, **_LAYERED)
+        for replicas in (1, 2):
+            built.clear()
+            walks.clear()
+            policy = SAScheduler(SAConfig.paper_defaults(seed=0).with_replicas(replicas))
+            simulate(graph, hypercube8, policy, record_trace=False, fast=True)
+            shapes = [stats.n_idle for stats in policy.packet_stats]
+            assert 1 in shapes and max(shapes) > 1
+            if replicas == 1:
+                assert built == [n for n in shapes if n > 1]
+                assert walks == shapes
+            else:
+                assert built == shapes
 
 
 # --------------------------------------------------------------------------- #
