@@ -45,12 +45,12 @@ both and diffs the cells::
     python -m repro.experiments.sweep --fidelity contention --jobs 4 \
         --families dag200 --out contention.json
 
-``--lanes B`` batches up to B compatible cells as lock-step lanes of one
-batched-engine call per worker (``sim/batch_engine.py``), composing with
-``--jobs`` as processes × lanes — the grid becomes ``ceil(cells/lanes)``
-groups distributed over the pool.  Lanes change scheduling, never numbers:
-every lane is bit-identical to its solo fast-engine run.  SA ``--replicas``
-rows and ``--engine object`` sweeps stay solo::
+``--lanes B`` caps one batched-engine call (``sim/batch_engine.py``) at B
+lock-step lanes, composing with ``--jobs`` as processes × lanes: the cells
+are cut into graph-contiguous items that run one call per policy (see
+:func:`_plan_lane_items`).  Lanes change scheduling, never numbers: every
+lane is bit-identical to its solo fast-engine run.  SA ``--replicas`` rows
+and ``--engine object`` sweeps stay solo::
 
     python -m repro.experiments.sweep --families dag200 --seeds 64 \
         --jobs 4 --lanes 32 --out dag200.json
@@ -70,19 +70,20 @@ runs back to back; the report's ``meta.compile_cache`` aggregates those
 hits/misses across worker processes (with the distinct worker count),
 ``meta.n_fallback_epochs`` counts fast-engine epochs that had to materialize
 a reference ``PacketContext`` (0 when every policy ran through an
-index-space kernel), and ``meta.lanes`` records the lane/batch configuration
-with per-lane fallback counts.
+index-space kernel), and ``meta.lanes`` records the lane plan (items,
+batched calls, the largest call) with per-lane fallback counts.
 
 Execution is **supervised** (``src/repro/experiments/supervisor.py``): every
-cell (or lane group) runs under a per-item wall-clock ``--timeout``, failed
-items are retried up to ``--retries`` times with exponential backoff +
-deterministic jitter, a crashed or killed worker is respawned and its item
-re-dispatched, and ``--maxtasksperchild`` recycles leaky workers.  Failures
-degrade down an engine ladder instead of poisoning the sweep: a cell that
-fails on the batched lane is quarantined to a solo fast-engine run, a cell
-that fails on the fast engine retries on the reference object engine, and a
-cell that exhausts every rung carries a structured error row
-(``error_type`` / ``traceback`` / ``attempts`` / ``engine_used``).
+cell (or lane-group item, up to policies × lanes cells) runs under a per-item
+wall-clock ``--timeout``, failed items are retried up to ``--retries`` times
+with exponential backoff + deterministic jitter, a crashed or killed worker
+is respawned and its item re-dispatched, and ``--maxtasksperchild`` recycles
+leaky workers.  Failures degrade down an engine ladder instead of poisoning
+the sweep: a cell that fails on the batched lane is quarantined to a solo
+fast-engine run, a cell that fails on the fast engine retries on the
+reference object engine, and a cell that exhausts every rung carries a
+structured error row (``error_type`` / ``traceback`` / ``attempts`` /
+``engine_used``).
 ``--checkpoint`` journals completed rows to an append-only JSONL file keyed
 by spec hash, and ``--resume`` restores them — re-executing only unfinished
 cells, with rows and aggregates identical to an uninterrupted run::
@@ -553,37 +554,57 @@ def _quarantine_solo(spec: dict, exc: Exception) -> dict:
     row["lane_fallback"] = {
         "error_type": type(exc).__name__,
         "error": str(exc),
-        "traceback": traceback_module.format_exc(),
+        "traceback": "".join(
+            traceback_module.format_exception(type(exc), exc, exc.__traceback__)
+        ),
     }
     return row
 
 
+def _lane_calls(specs: List[dict]) -> List[List[int]]:
+    """The positions of *specs* per batched call: one call per policy."""
+    calls: Dict[str, List[int]] = {}
+    for pos, spec in enumerate(specs):
+        calls.setdefault(spec["policy"], []).append(pos)
+    return list(calls.values())
+
+
 def run_lane_group(specs: List[dict]) -> List[dict]:
-    """Run a chunk of scenario specs as lanes of one batched-engine call.
+    """Run a chunk of scenario specs as batched-engine calls, one per policy.
 
     The lane counterpart of :func:`run_scenario` (the pool worker behind
-    ``--lanes``): every spec is compiled through the per-worker scenario
-    memo and the whole chunk is handed to
-    :func:`~repro.sim.fast_engine.run_lanes` as one lock-step group — each
-    lane bit-identical to the solo run :func:`run_scenario` would have
-    produced.
+    ``--lanes`` and the service's coalesced batches): every spec is
+    compiled through the per-worker scenario memo, and each policy's specs
+    are handed to :func:`~repro.sim.fast_engine.run_lanes` as one lock-step
+    call, so every batched policy kernel serves all of that call's lanes.
+    Each lane is bit-identical to the solo run :func:`run_scenario` would
+    have produced.
 
     Failures degrade with per-cell quarantine instead of taking down the
     group: a cell that fails to *build* (poisoned spec, compile error) is
     retried solo through :func:`_quarantine_solo` while the healthy lanes
-    still run batched; if the batched *run* itself fails, every lane is
-    quarantined solo.  Either way the triggering exception's type and
-    traceback land in the affected rows' ``lane_fallback`` field (aggregated
-    into ``meta.faults``), and a cell whose solo retry also fails carries
-    its own error row.  The group's wall time is split evenly across its
-    batched rows; per-lane attribution inside one batched call has no
-    meaning.
+    still run batched; if a batched *run* itself fails, every lane of that
+    call is quarantined solo.  Either way the triggering exception's type
+    and traceback land in the affected rows' ``lane_fallback`` field
+    (aggregated into ``meta.faults``), and a cell whose solo retry also
+    fails carries its own error row.  Each call's wall time (building its
+    lanes plus the batched run) is split evenly across its batched rows;
+    per-lane attribution inside one batched call has no meaning.
     """
-    start = time.perf_counter()
     rows = [dict(spec) for spec in specs]
+    for positions in _lane_calls(specs):
+        _run_lane_call(specs, rows, positions)
+    return rows
+
+
+def _run_lane_call(specs: List[dict], rows: List[dict], positions: List[int]) -> None:
+    """Fill ``rows[pos]`` for *positions* from one batched call (or solo retries)."""
+    start = time.perf_counter()
     lanes = []
     built = []  # (row position, graph) per successfully compiled lane
-    for pos, row in enumerate(rows):
+    failed = []  # (row position, exception) per lane to retry solo
+    for pos in positions:
+        row = rows[pos]
         cache_before = scenario_cache_stats()
         try:
             graph = _spec_graph(row)
@@ -594,11 +615,9 @@ def run_lane_group(specs: List[dict]) -> List[dict]:
             )
             graph.validate()
             policy.reset()
-            scenario = compile_scenario(
-                graph, machine, comm_model, levels=graph.levels()
-            )
+            scenario = compile_scenario(graph, machine, comm_model)
         except Exception as exc:
-            rows[pos] = _quarantine_solo(specs[pos], exc)
+            failed.append((pos, exc))
             continue
         cache_after = scenario_cache_stats()
         row["compile_cache_hits"] = cache_after["hits"] - cache_before["hits"]
@@ -614,15 +633,14 @@ def run_lane_group(specs: List[dict]) -> List[dict]:
     if lanes:
         try:
             results = run_lanes(
-                lanes, fidelity=specs[0].get("fidelity", "latency")
+                lanes, fidelity=specs[positions[0]].get("fidelity", "latency")
             )
         except Exception as exc:
             # The whole batched call failed: quarantine every lane solo.
-            for pos, _graph in built:
-                rows[pos] = _quarantine_solo(specs[pos], exc)
+            failed.extend((pos, exc) for pos, _graph in built)
             built = []
     if built:
-        per_lane_s = (time.perf_counter() - start) / len(rows)
+        per_lane_s = (time.perf_counter() - start) / len(built)
         pid = os.getpid()
         for (pos, graph), result in zip(built, results):
             rows[pos].update(
@@ -643,7 +661,29 @@ def run_lane_group(specs: List[dict]) -> List[dict]:
             )
             if rows[pos].get("_fingerprint"):
                 rows[pos]["fingerprint"] = result.fingerprint()
-    return rows
+    for pos, exc in failed:
+        rows[pos] = _quarantine_solo(specs[pos], exc)
+
+
+def _plan_lane_items(specs: List[dict], lanes: int, jobs: int) -> List[List[dict]]:
+    """Cut lane-eligible *specs* into graph-contiguous lane-group items.
+
+    Item *k* holds the *k*-th contiguous slice of every policy's specs (in
+    the given order), so each of its calls (:func:`_lane_calls`) serves one
+    policy with at most *lanes* lanes.  There are as few items as allow
+    that, rounded up to a multiple of *jobs*, but at most ``ceil(cells/lanes)``.
+    """
+    counts = Counter(spec["policy"] for spec in specs)
+    jobs = max(1, jobs)
+    per_policy = -(-max(counts.values()) // lanes)
+    n_items = min(-(-len(specs) // lanes), jobs * -(-per_policy // jobs))
+    items: List[List[dict]] = [[] for _ in range(n_items)]
+    seen: Counter = Counter()
+    for spec in specs:
+        policy = spec["policy"]
+        items[seen[policy] * n_items // counts[policy]].append(spec)
+        seen[policy] += 1
+    return [item for item in items if item]
 
 
 def _run_sweep_item(item) -> List[dict]:
@@ -846,14 +886,14 @@ def run_sweep(
     races the anytime heterogeneous-lane portfolio on the SA rows instead
     (``--portfolio``; mutually exclusive with replicas).
 
-    *lanes* batches up to that many cells as lock-step lanes of one
-    batched-engine call per worker (:func:`run_lane_group`), composing with
-    *jobs* as processes × lanes: the grid is cut into ``ceil(cells/lanes)``
-    groups and the pool distributes groups over workers.  The count is
-    capped at the cell count; SA replica rows and ``fast=False`` sweeps stay
-    solo (the batched engine is a fast-engine tier).  Lanes change how the
-    work is scheduled, never the numbers — every lane is bit-identical to
-    its solo run.
+    *lanes* caps the lock-step lanes of one batched-engine call, composing
+    with *jobs* as processes × lanes: the lane-eligible cells are cut into
+    graph-contiguous items (:func:`_plan_lane_items`), each running one
+    call per policy (:func:`run_lane_group`), and the pool distributes the
+    items over workers.  The count is capped at the cell count; SA replica
+    rows and ``fast=False`` sweeps stay solo (the batched engine is a
+    fast-engine tier).  Lanes change how the work is scheduled, never the
+    numbers — every lane is bit-identical to its solo run.
 
     Execution is supervised (:mod:`repro.experiments.supervisor`): *timeout*
     arms a per-item wall-clock budget (a hung worker is killed and its item
@@ -869,8 +909,9 @@ def run_sweep(
     compiled-scenario cache hits/misses aggregated across worker processes
     (``meta.compile_cache``, with the distinct worker count), the total
     fast-engine fallback epochs (0 when every policy ran through an
-    index-space kernel), the lane/batch configuration including per-lane
-    fallback counts (``meta.lanes``), the supervisor's runtime counters
+    index-space kernel), the lane plan (``meta.lanes``: dispatched items,
+    batched calls, the largest call's lanes and per-lane fallback counts),
+    the supervisor's runtime counters
     (``meta.supervisor``: attempts, retries, timeouts, worker deaths,
     respawns, recycles), the checkpoint/restore summary (``meta.resume``)
     and the structured fault taxonomy (``meta.faults``: terminal errors,
@@ -916,26 +957,22 @@ def run_sweep(
     # Auto-cap at the cell count; only fast-engine-eligible cells (no SA
     # replica fan-out, engine not pinned to the object path) ride lanes.
     effective_lanes = max(1, min(lanes, len(grid)))
-    lane_indices: List[int] = []
-    if effective_lanes > 1 and fast is not False:
-        lane_indices = [
-            spec["_index"]
-            for spec in remaining
-            if spec["replicas"] is None and spec["portfolio"] is None
-        ]
-    items: List[object]
-    spec_by_index = {spec["_index"]: spec for spec in remaining}
-    if lane_indices:
-        solo = set(spec_by_index) - set(lane_indices)
-        items = [
-            [spec_by_index[i] for i in lane_indices[k : k + effective_lanes]]
-            for k in range(0, len(lane_indices), effective_lanes)
-        ]
-        items.extend(spec_by_index[i] for i in sorted(solo))
+    laned = effective_lanes > 1 and fast is not False
+    lane_specs = [
+        spec
+        for spec in remaining
+        if laned and spec["replicas"] is None and spec["portfolio"] is None
+    ]
+    lane_indices = [spec["_index"] for spec in lane_specs]
+    items: List[object] = list(remaining)
+    if lane_specs:
+        lane_set = set(lane_indices)
+        items = _plan_lane_items(lane_specs, effective_lanes, jobs)
+        items.extend(s for s in remaining if s["_index"] not in lane_set)
     else:
         effective_lanes = 1
-        items = list(remaining)
-    n_groups = sum(1 for item in items if isinstance(item, list))
+    groups = [item for item in items if isinstance(item, list)]
+    call_sizes = [len(call) for group in groups for call in _lane_calls(group)]
 
     def _journal(item, rows: List[dict]) -> None:
         if ckpt is None:
@@ -1023,7 +1060,10 @@ def run_sweep(
             "lanes": {
                 "requested": lanes,
                 "effective": effective_lanes,
-                "n_groups": n_groups,
+                "n_items": len(items),
+                "n_groups": len(groups),
+                "n_calls": len(call_sizes),
+                "max_call_lanes": max(call_sizes, default=0),
                 "n_lane_rows": len(lane_indices),
                 "per_lane_fallback_epochs": per_lane_fallback,
             },
@@ -1118,7 +1158,8 @@ def format_sweep_report(report: dict) -> str:
     meta = report["meta"]
     lanes_meta = meta.get("lanes", {})
     lanes_part = (
-        f" x {lanes_meta['effective']} lanes"
+        f" x {lanes_meta['effective']} lanes: {lanes_meta['n_items']} items,"
+        f" {lanes_meta['n_calls']} batched calls"
         if lanes_meta.get("effective", 1) > 1
         else ""
     )
@@ -1142,10 +1183,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--lanes", type=int, default=1,
         help=(
-            "batch up to this many compatible cells as lock-step lanes of one "
-            "batched-engine call per worker (composes with --jobs as "
-            "processes x lanes; auto-capped at the cell count; SA --replicas "
-            "rows and --engine object sweeps stay solo)"
+            "most lock-step lanes in one batched-engine call (composes with "
+            "--jobs as processes x lanes; auto-capped at the cell count). "
+            "Cells are cut into graph-contiguous items that run one call per "
+            "policy; SA --replicas rows and --engine object sweeps stay solo"
         ),
     )
     parser.add_argument("--seeds", type=int, default=17, help="graph seeds per family")
@@ -1215,9 +1256,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--timeout", type=float, default=None,
         help=(
-            "per-cell (or per lane-group) wall-clock budget in seconds; a "
-            "worker that exceeds it is killed and its item re-dispatched "
-            "(default: no timeout)"
+            "per-item wall-clock budget in seconds (a cell, or a lane-group "
+            "item of up to policies x --lanes cells); a worker that exceeds "
+            "it is killed and its item re-dispatched (default: no timeout)"
         ),
     )
     parser.add_argument(

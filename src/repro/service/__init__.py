@@ -19,8 +19,9 @@ Three mechanisms make the server fast where one-process-per-request is slow:
   server's ``stats`` op proves the hit rate climbs as the cache warms.
 * **Request coalescing** — compatible concurrent jobs queued for the same
   worker are flushed (on batch size or a small time window) as **one**
-  batched B-lane engine call (:func:`repro.experiments.sweep.run_lane_group`),
-  so ten concurrent SA jobs cost one lock-step batched run, not ten solos.
+  lane-group item (:func:`repro.experiments.sweep.run_lane_group`), which
+  runs one lock-step batched call per policy, so ten concurrent SA jobs
+  cost one batched run, not ten solos.
 
 Workers that die mid-job are respawned and their jobs retried transparently;
 malformed requests get structured errors from the :mod:`repro.exceptions`

@@ -69,6 +69,7 @@ def coalesce_key(spec: dict) -> Tuple[str, ...]:
 
     One fidelity per :func:`~repro.sim.fast_engine.run_lanes` call is the
     engine's contract; everything else (policy, machine, graph, seeds) may
-    mix freely within a group, exactly as sweep lane chunks do.
+    mix freely within a group, exactly as in sweep lane items, which run
+    one batched call per policy.
     """
     return ("lanes", spec.get("fidelity", "latency"))

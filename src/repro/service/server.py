@@ -17,7 +17,7 @@ Request flow for a ``simulate`` job:
 3. it waits in that worker's queue until the **coalescer** flushes — at
    batch size ``batch`` or after ``window_ms`` — and compatible queued jobs
    leave as *one* :func:`~repro.experiments.sweep.run_lane_group` item
-   (a single batched B-lane engine call); incompatible jobs run solo via
+   (one batched engine call per policy); incompatible jobs run solo via
    :func:`~repro.experiments.sweep.run_scenario`;
 4. the reply rows are matched back to their requests and written to each
    client, bit-identical to direct :func:`repro.sim.engine.simulate` calls.

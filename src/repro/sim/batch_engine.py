@@ -703,8 +703,7 @@ def simulate_batch(
             continue
         graph.validate()
         policy.reset()
-        levels = graph.levels()
-        scenario = compile_scenario(graph, machine, comm_model, levels=levels)
+        scenario = compile_scenario(graph, machine, comm_model)
         lanes.append((scenario, policy))
         lane_pos.append(i)
     if lanes:

@@ -324,8 +324,9 @@ def compile_scenario(
 ) -> CompiledScenario:
     """Lower *graph* on *machine* under *comm_model* to a :class:`CompiledScenario`.
 
-    *levels* may be passed when the caller already computed them (the object
-    engine does); they are recomputed otherwise.  Raises ``ValueError`` when
+    *levels* may be passed when the caller already computed them; otherwise
+    a memo miss computes them and a memo hit never needs them, so callers
+    should not compute levels just to pass them here.  Raises ``ValueError`` when
     the communication model cannot be folded (check
     :func:`supports_comm_model` first, or let the simulator fall back).
     """

@@ -189,12 +189,10 @@ class Simulator:
         self.policy.reset()
 
         if self._use_fast_engine():
-            levels = graph.levels()
-            scenario = compile_scenario(graph, machine, self.comm_model, levels=levels)
+            scenario = compile_scenario(graph, machine, self.comm_model)
             return run_compiled(
                 scenario,
                 self.policy,
-                levels=levels,
                 record_trace=self.record_trace,
                 fidelity=self.fidelity,
             )

@@ -3,15 +3,21 @@
 from __future__ import annotations
 
 import json
+import math
+import random
+import time
+from collections import Counter
 
 import pytest
 
+import repro.experiments.sweep as sweep_module
 from repro.exceptions import ConfigurationError, WorkerError
 from repro.experiments.sweep import (
     GRAPH_FAMILIES,
     HETERO_MACHINES,
     MACHINE_BUILDERS,
     POLICY_BUILDERS,
+    SCIENCE_FIELDS,
     build_grid,
     comparable_aggregates,
     comparable_rows,
@@ -293,6 +299,218 @@ class TestLanes:
     def test_lanes_cli_rejects_non_positive(self, capsys):
         with pytest.raises(SystemExit):
             main(["--lanes", "0"])
+
+
+def _spy_run_lanes(monkeypatch, delay_for=None):
+    """Record (policy types, lane count) of every batched call in this process.
+
+    *delay_for* names a policy class whose calls sleep 0.2 s first, so a
+    test can see which rows a call's wall time is charged to.
+    """
+    calls = []
+    real = sweep_module.run_lanes
+
+    def spy(lanes, fidelity):
+        kinds = {type(policy).__name__ for _scenario, policy in lanes}
+        calls.append((kinds, len(lanes)))
+        if kinds == {delay_for}:
+            time.sleep(0.2)
+        return real(lanes, fidelity=fidelity)
+
+    monkeypatch.setattr(sweep_module, "run_lanes", spy)
+    return calls
+
+
+class TestLanePlan:
+    """Lane-eligible cells are cut into graph-contiguous items, and each item
+    runs one batched call per policy (the planner replaced grid-order groups
+    whose calls mixed policies)."""
+
+    @staticmethod
+    def _keyed(grid):
+        for index, spec in enumerate(grid):
+            spec["_index"] = index
+        return grid
+
+    @staticmethod
+    def _n_items(specs, lanes, jobs):
+        most = max(Counter(s["policy"] for s in specs).values())
+        return min(
+            math.ceil(len(specs) / lanes),
+            jobs * math.ceil(math.ceil(most / lanes) / jobs),
+        )
+
+    def _check_plan(self, specs, lanes, jobs):
+        items = sweep_module._plan_lane_items(specs, lanes, jobs)
+        # The items partition the specs, each item in the given order.
+        assert sorted(s["_index"] for item in items for s in item) == sorted(
+            s["_index"] for s in specs
+        )
+        for item in items:
+            assert [s["_index"] for s in item] == sorted(s["_index"] for s in item)
+            # Every batched call serves one policy with at most `lanes` lanes.
+            for call in sweep_module._lane_calls(item):
+                assert len({item[pos]["policy"] for pos in call}) == 1
+                assert len(call) <= lanes
+        # Item k holds the k-th contiguous, balanced slice of each policy.
+        for policy in {s["policy"] for s in specs}:
+            cells = [s["_index"] for s in specs if s["policy"] == policy]
+            slices = [[s["_index"] for s in item if s["policy"] == policy]
+                      for item in items]
+            assert [i for part in slices for i in part] == cells
+            sizes = [len(part) for part in slices]
+            assert max(sizes) - min(sizes) <= 1
+        return items
+
+    @pytest.mark.parametrize(
+        "policies, families, n_seeds, lanes, jobs",
+        [
+            (("HLF", "ETF", "SA"), ("layered",), 4, 8, 4),
+            (("HLF", "ETF"), ("layered",), 8, 8, 4),
+            (("HLF", "ETF"), ("montage", "grid"), 2, 8, 1),
+            (("HLF", "SA", "LPT"), ("layered", "dag"), 5, 3, 2),
+            (("ETF", "LPT"), ("dag",), 7, 4, 3),
+        ],
+    )
+    def test_items_slice_every_policy_into_one_policy_calls(
+        self, policies, families, n_seeds, lanes, jobs
+    ):
+        grid = self._keyed(build_grid(
+            policies=policies, machines=("hypercube8", "ring9"),
+            families=families, n_seeds=n_seeds,
+        ))
+        items = self._check_plan(grid, lanes, jobs)
+        assert len(items) == self._n_items(grid, lanes, jobs)
+        assert len(items) <= math.ceil(len(grid) / lanes)
+
+    def test_dag200_benchmark_shape_makes_two_items_of_96(self):
+        grid = self._keyed(build_grid(
+            policies=("HLF", "ETF", "LPT"), machines=("hypercube8", "ring9"),
+            families=("dag200",), n_seeds=32,
+        ))
+        items = self._check_plan(grid, 32, 2)
+        assert [len(item) for item in items] == [96, 96]
+        # Graph-contiguous: item k runs graphs 16k .. 16k + 15 only.
+        for k, item in enumerate(items):
+            assert {s["graph_seed"] for s in item} == set(range(16 * k, 16 * k + 16))
+
+    def test_uneven_remaining_sets_keep_calls_within_lanes(self):
+        grid = self._keyed(build_grid(
+            policies=("HLF", "ETF", "LPT"), machines=("hypercube8", "ring9"),
+            families=("layered", "dag"), n_seeds=6,
+        ))
+        rng = random.Random(7)
+        for _ in range(25):
+            keep = rng.uniform(0.2, 0.9)
+            specs = [s for s in grid if rng.random() < keep]
+            if specs:
+                self._check_plan(specs, rng.randint(2, 12), rng.randint(1, 4))
+
+    def test_resumed_sweep_calls_stay_one_policy_within_lanes(
+        self, tmp_path, monkeypatch
+    ):
+        kwargs = dict(policies=("HLF", "ETF", "LPT"), machines=("hypercube8",),
+                      families=("layered",), n_seeds=4)
+        path = tmp_path / "ck.jsonl"
+        full = run_sweep(jobs=1, checkpoint=str(path), **kwargs)
+        # Keep the header and 5 rows: the policies are left uneven (2/2/1).
+        path.write_text("\n".join(path.read_text().splitlines()[:6]) + "\n")
+        calls = _spy_run_lanes(monkeypatch)
+        resumed = run_sweep(
+            jobs=1, lanes=3, checkpoint=str(path), resume=True, **kwargs
+        )
+        assert resumed["meta"]["resume"]["n_restored"] == 5
+        assert comparable_rows(resumed) == comparable_rows(full)
+        assert calls and all(len(kinds) == 1 and n <= 3 for kinds, n in calls)
+        assert sum(n for _kinds, n in calls) == 7
+        plan = resumed["meta"]["lanes"]
+        assert plan["n_calls"] == len(calls)
+        assert plan["max_call_lanes"] == max(n for _kinds, n in calls)
+
+    def test_sa_replica_rows_stay_out_of_the_calls(self, monkeypatch):
+        calls = _spy_run_lanes(monkeypatch)
+        report = run_sweep(jobs=1, lanes=4, replicas=2, **TestLanes._kwargs)
+        assert report["meta"]["n_failed"] == 0
+        assert calls and all(len(kinds) == 1 and n <= 4 for kinds, n in calls)
+        assert not any("SAScheduler" in kinds for kinds, _n in calls)
+        for row in report["results"]:
+            expected = "fast" if row["policy"] == "SA" else "batched"
+            assert row["engine_used"] == expected
+
+    def test_small_setup_sweep_stays_one_inline_item(self):
+        report = run_sweep(
+            jobs=2, lanes=32, policies=("HLF", "ETF", "LPT"),
+            machines=("hypercube8", "ring9"), families=("dag",), n_seeds=2,
+        )
+        plan = report["meta"]["lanes"]
+        assert (plan["n_items"], plan["n_calls"], plan["max_call_lanes"]) == (1, 3, 4)
+        assert report["meta"]["supervisor"]["stats"]["mode"] == "inline"
+        assert "1 items, 3 batched calls" in format_sweep_report(report)
+
+    def test_mixed_service_batch_runs_one_call_per_policy(self, monkeypatch):
+        jobs = [
+            {"policy": policy, "machine": machine, "family": family,
+             "graph_seed": seed, "policy_seed": seed, "with_comm": True,
+             "fidelity": "latency", "fast": None, "replicas": None,
+             "portfolio": None, "_fingerprint": True}
+            for seed, (policy, machine, family) in enumerate([
+                ("HLF", "hypercube8", "grid"), ("SA", "ring9", "layered"),
+                ("ETF", "hypercube8", "layered"), ("HLF", "ring9", "grid"),
+                ("SA", "hypercube8", "grid"), ("ETF", "ring9", "grid"),
+            ])
+        ]
+        solo = [run_scenario(dict(job)) for job in jobs]
+        calls = _spy_run_lanes(monkeypatch, delay_for="SAScheduler")
+        rows = run_lane_group([dict(job) for job in jobs])
+        assert sorted((sorted(kinds), n) for kinds, n in calls) == [
+            (["ETFScheduler"], 2), (["HLFScheduler"], 2), (["SAScheduler"], 2),
+        ]
+        for row, expected in zip(rows, solo):
+            assert row["engine_used"] == "batched"
+            for key in SCIENCE_FIELDS + ("fingerprint",):
+                assert row[key] == expected[key], key
+        # Each call's wall time is charged to that call's own rows only.
+        runtime = {}
+        for row in rows:
+            runtime.setdefault(row["policy"], set()).add(row["runtime_s"])
+        assert all(len(times) == 1 for times in runtime.values())
+        assert min(runtime["SA"]) >= 0.1
+        assert max(runtime["HLF"] | runtime["ETF"]) < 0.1
+
+
+class TestLevelsOnMemoHit:
+    def test_memo_hit_cells_never_compute_levels(self, monkeypatch):
+        """Task levels feed only a compile miss, so a memo-hit cell skips them
+        on every cell path: the sweep's solo worker (``Simulator.run``'s fast
+        path), its lane groups, and ``simulate_batch``."""
+        import repro.taskgraph.levels as levels_module
+        from repro.schedulers.hlf import HLFScheduler
+        from repro.sim.batch_engine import simulate_batch
+        from repro.sim.engine import simulate
+        from repro.taskgraph.generators import layered_random
+
+        spec = _spec(11, family="dag")
+        run_scenario(dict(spec))  # warm the worker caches and the scenario memo
+        calls = []
+        real = levels_module.compute_levels
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(levels_module, "compute_levels", spy)
+        row = run_scenario(dict(spec))
+        assert (row["compile_cache_hits"], row["compile_cache_misses"]) == (1, 0)
+        rows = run_lane_group([dict(spec), dict(spec, policy="ETF")])
+        assert [r["engine_used"] for r in rows] == ["batched", "batched"]
+        graph = sweep_module._spec_graph(spec)
+        machine = sweep_module._spec_machine(spec)
+        simulate_batch([(graph, machine, HLFScheduler(seed=0))])
+        assert calls == []
+        # A miss still computes them, once.
+        simulate(layered_random(3, 4, seed=99), machine, HLFScheduler(seed=0),
+                 record_trace=False)
+        assert calls == [1]
 
 
 class TestParallelMap:
