@@ -1,7 +1,8 @@
 """Shared fixtures for the test suite.
 
 Golden-trace workflow: fixtures under ``tests/golden/`` pin fixed-seed
-simulation fingerprints (see ``SimulationResult.fingerprint``).  Run
+simulation fingerprints (see ``SimulationResult.fingerprint``) and the
+generated graphs themselves (``graphs.json``).  Run
 
     python -m pytest tests/test_golden_trace.py --regen-golden
 
@@ -133,6 +134,14 @@ def golden_families(golden_regen) -> GoldenStore:
 def golden_lanes(golden_regen) -> GoldenStore:
     """Golden fingerprints and work counts of SA replica and portfolio runs."""
     store = GoldenStore(GOLDEN_DIR / "lanes.json", golden_regen)
+    yield store
+    store.flush()
+
+
+@pytest.fixture(scope="session")
+def golden_graphs(golden_regen) -> GoldenStore:
+    """Golden digests of generated task graphs (every task, edge and weight)."""
+    store = GoldenStore(GOLDEN_DIR / "graphs.json", golden_regen)
     yield store
     store.flush()
 

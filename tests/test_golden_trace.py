@@ -7,7 +7,10 @@ finish]`` triple — against the fixtures in ``tests/golden/``.  Two
 random-graph scenarios pin the generator + sweep stack the same way, and
 ``lanes.json`` pins multi-lane SA (``replicas=4`` and ``portfolio=4``) on
 both simulation engines, together with each run's total proposals, rung
-count and culled-lane count.
+count and culled-lane count.  ``graphs.json`` pins the generated graphs themselves:
+a digest of every task, edge and weight of the ``random_dag`` graphs the
+sweeps build (``dag200`` seeds 0-63, ``dag`` and ``dag-dense`` seeds 0-15) and
+of ``random_dag`` shapes that take its other branches.
 
 These tests are the contract behind every performance refactor: compiled
 kernels, vectorized tables and parallel sweeps may change *how* the numbers
@@ -19,15 +22,19 @@ regenerate with::
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.comm.model import LinearCommModel, ZeroCommModel
 from repro.core.config import SAConfig
 from repro.core.sa_scheduler import SAScheduler
-from repro.experiments.sweep import MACHINE_BUILDERS
+from repro.experiments.sweep import GRAPH_FAMILIES, MACHINE_BUILDERS
 from repro.machine.machine import Machine
 from repro.sim.engine import simulate
 from repro.taskgraph.generators import layered_random, random_dag
+from repro.taskgraph.io import to_dict
 from repro.workloads.suite import PAPER_PROGRAMS
 
 PROGRAMS = ("NE", "GJ", "FFT", "MM")
@@ -151,4 +158,49 @@ def test_lane_run_matches_golden(mode, graph, machine, engine, golden_lanes):
             n_proposals=sum(s.n_proposals for s in scheduler.packet_stats),
             **racing,
         ),
+    )
+
+
+#: ``random_dag`` shapes beyond the sweep families, one per branch of the
+#: generator: heavy-tailed weights, no weights, fixed weights, fixed
+#: durations, durations and weights clamped to ``MIN_DURATION``, no pairs,
+#: one pair, no edges and every edge.
+GRAPH_SHAPES = {
+    "comm_cv2": dict(n_tasks=80, edge_probability=0.25, comm_cv=2.0),
+    "mean_comm0": dict(n_tasks=60, edge_probability=0.3, mean_comm=0.0),
+    "comm_cv0": dict(n_tasks=60, edge_probability=0.3, comm_cv=0.0),
+    "duration_cv0": dict(n_tasks=50, edge_probability=0.2, duration_cv=0.0),
+    "cv20": dict(n_tasks=40, edge_probability=0.3, duration_cv=20.0, comm_cv=20.0),
+    "n1": dict(n_tasks=1),
+    "n2": dict(n_tasks=2, edge_probability=0.5),
+    "p0": dict(n_tasks=30, edge_probability=0.0),
+    "p1": dict(n_tasks=30, edge_probability=1.0),
+}
+GRAPH_CASES = (
+    [(f"dag200|{seed}", lambda seed=seed: GRAPH_FAMILIES["dag200"](seed)) for seed in range(64)]
+    + [
+        (f"{family}|{seed}", lambda family=family, seed=seed: GRAPH_FAMILIES[family](seed))
+        for family in ("dag", "dag-dense")
+        for seed in range(16)
+    ]
+    + [
+        (f"random_dag:{shape}|{seed}", lambda shape=shape, seed=seed: random_dag(**GRAPH_SHAPES[shape], seed=seed))
+        for shape in GRAPH_SHAPES
+        for seed in range(4)
+    ]
+)
+
+
+@pytest.mark.parametrize("key,build", GRAPH_CASES, ids=[key for key, _ in GRAPH_CASES])
+def test_generated_graph_matches_golden(key, build, golden_graphs):
+    """Every task, duration, edge (in insertion order) and weight, bit for bit."""
+    graph = build()
+    text = json.dumps(to_dict(graph), sort_keys=True)
+    golden_graphs.check(
+        key,
+        {
+            "n_tasks": graph.n_tasks,
+            "n_edges": graph.n_edges,
+            "sha256": hashlib.sha256(text.encode()).hexdigest(),
+        },
     )
