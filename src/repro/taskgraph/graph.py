@@ -16,6 +16,7 @@ from :mod:`repro.taskgraph.levels` as convenience methods.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import networkx as nx
@@ -273,10 +274,14 @@ class TaskGraph:
         if self._validated_version == self._version:
             return
         self.topological_order()  # raises CycleError if cyclic
+        # A finite non-negative float passes without formatting its error name.
         for task in self._tasks.values():
-            check_non_negative(f"duration of {task.task_id!r}", task.duration)
+            d = task.duration
+            if not (type(d) is float and 0.0 <= d < math.inf):
+                check_non_negative(f"duration of {task.task_id!r}", d)
         for u, v, w in self.edges():
-            check_non_negative(f"comm weight of edge {u!r}->{v!r}", w)
+            if not (type(w) is float and 0.0 <= w < math.inf):
+                check_non_negative(f"comm weight of edge {u!r}->{v!r}", w)
             if self._pred[v].get(u) != w:
                 raise TaskGraphError(
                     f"inconsistent adjacency for edge {u!r} -> {v!r}"

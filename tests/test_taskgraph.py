@@ -130,6 +130,39 @@ class TestOrderingValidation:
     def test_validate_passes_on_valid_graph(self, diamond_graph):
         diamond_graph.validate()
 
+    @staticmethod
+    def _corruptible(diamond_graph):
+        """The validated diamond, due a rescan: the corruptions bypass the mutators."""
+        diamond_graph.validate()
+        diamond_graph._version += 1
+        return diamond_graph
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan")], ids=["negative", "nan"])
+    def test_validate_rejects_a_bad_weight_in_both_maps(self, diamond_graph, bad):
+        g = self._corruptible(diamond_graph)
+        g._succ["b"]["d"] = g._pred["d"]["b"] = bad
+        with pytest.raises(ValueError) as err:
+            g.validate()
+        assert not isinstance(err.value, TaskGraphError)
+        assert str(err.value) == (
+            f"comm weight of edge 'b'->'d' must be a finite non-negative number, got {bad!r}"
+        )
+
+    def test_validate_rejects_disagreeing_adjacency_maps(self, diamond_graph):
+        g = self._corruptible(diamond_graph)
+        g._pred["d"]["b"] = 0.25
+        with pytest.raises(TaskGraphError) as err:
+            g.validate()
+        assert str(err.value) == "inconsistent adjacency for edge 'b' -> 'd'"
+
+    def test_validate_rejects_a_nan_duration_set_past_the_task_check(self, diamond_graph):
+        g = self._corruptible(diamond_graph)
+        object.__setattr__(g.task("c"), "duration", float("nan"))
+        with pytest.raises(ValueError) as err:
+            g.validate()
+        assert not isinstance(err.value, TaskGraphError)
+        assert str(err.value) == "duration of 'c' must be a finite non-negative number, got nan"
+
 
 class TestConversionCopy:
     def test_networkx_roundtrip(self, diamond_graph):
