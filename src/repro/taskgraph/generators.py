@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Hashable, Optional, Sequence
 
+import numpy as np
+
 from repro.exceptions import TaskGraphError
 from repro.taskgraph.graph import TaskGraph
 from repro.utils.rng import SeedLike, as_rng
@@ -265,24 +267,115 @@ def random_dag(
     Each ordered pair ``(i, j)`` with ``i < j`` in a random permutation becomes
     an edge with probability *edge_probability*; this is the classical model
     used for statistical list-scheduler comparisons (Adam et al. 1974).
+
+    The stream is the scalar pair loop's (:func:`_scalar_edges`).  A ``PCG64``
+    stream replays it from raw words (:func:`_lookahead_edges`): same graph,
+    same end state.  Other bit generators, and replays that cannot account
+    for every word, run the scalar loop from the saved state.
     """
     if n_tasks < 1:
         raise TaskGraphError(f"n_tasks must be >= 1, got {n_tasks}")
     check_probability("edge_probability", edge_probability)
     rng = as_rng(seed)
     g = TaskGraph(name)
-    order = list(rng.permutation(n_tasks))
-    for i in range(n_tasks):
-        g.add_task(i, _draw_duration(rng, mean_duration, duration_cv), label=f"t{i}")
-    for a in range(n_tasks):
-        for b in range(a + 1, n_tasks):
-            if rng.random() < edge_probability:
-                u, v = int(order[a]), int(order[b])
-                if not g.has_edge(u, v):
-                    g.add_dependency(
-                        u, v, _draw_duration(rng, mean_comm, comm_cv) if mean_comm > 0 else 0.0
-                    )
+    order = rng.permutation(n_tasks)
+    if duration_cv <= 0.0:
+        durations = [mean_duration] * n_tasks
+    else:  # draw_duration's draws, in one call
+        shape = 1.0 / (duration_cv * duration_cv)
+        draws = rng.gamma(shape, mean_duration / shape, size=n_tasks).tolist()
+        durations = [max(value, MIN_DURATION) for value in draws]
+    for i, duration in enumerate(durations):
+        g.add_task(i, duration, label=f"t{i}")
+    n_pairs = n_tasks * (n_tasks - 1) // 2
+    if not mean_comm > 0 or comm_cv <= 0.0:  # no weight draw between two decisions
+        hits = np.flatnonzero(rng.random(n_pairs) < edge_probability)
+        weights = [mean_comm if mean_comm > 0 else 0.0] * len(hits)
+    else:
+        start = rng.bit_generator.state
+        args = (rng, n_pairs, edge_probability, mean_comm, comm_cv)
+        found = _lookahead_edges(*args) if type(rng.bit_generator) is np.random.PCG64 else None
+        if found is None:
+            rng.bit_generator.state = start
+            found = _scalar_edges(*args)
+        hits, weights = np.array(found[0], dtype=np.int64), found[1]
+    rows = np.arange(n_tasks, dtype=np.int64)
+    row_start = rows * (2 * n_tasks - rows - 1) // 2  # pair index of (row, row + 1)
+    a = np.searchsorted(row_start, hits, side="right") - 1
+    b = hits - row_start[a] + a + 1
+    for u, v, w in zip(order[a].tolist(), order[b].tolist(), weights):
+        g.add_dependency(u, v, w)
     return g
+
+
+def _scalar_edges(rng, n_pairs: int, p: float, mean_comm: float, comm_cv: float):
+    """The pair loop: row-major indices of the pairs that became edges, and their weights."""
+    hits, weights = [], []
+    for k in range(n_pairs):
+        if rng.random() < p:
+            hits.append(k)
+            weights.append(draw_duration(rng, mean_comm, comm_cv))
+    return hits, weights
+
+
+#: Raw words per lookahead window; its last _SLACK words serve weight draws only.
+_WINDOW = 4096
+_SLACK = 64
+
+
+def _lookahead_edges(rng, n_pairs: int, p: float, mean_comm: float, comm_cv: float):
+    """:func:`_scalar_edges` replayed from raw ``PCG64`` words, or ``None``.
+
+    ``rng.random()`` is ``(raw >> 11) * 2**-53`` of one raw word, so a window
+    of raw words decides every pair up to the next edge at once.  Each weight
+    is drawn from *rng* advanced to just past its edge's word; the next raw
+    word, located in the window, tells how many words the draw took.  Returns
+    ``None`` when a window repeats a word, a draw runs past its window, or
+    the end state is not the start state advanced by the words counted.
+    """
+    bitgen = rng.bit_generator
+    start = bitgen.state
+    shape = 1.0 / (comm_cv * comm_cv)
+    scale = mean_comm / shape
+    hits, weights = [], []
+    k = base = at = 0  # next pair; stream positions of the window and of the generator
+    while True:
+        size = min(_WINDOW, 2 * (n_pairs - k) + _SLACK)
+        words = bitgen.advance(base - at).random_raw(size)
+        at = base + size
+        ordered = np.sort(words)
+        if (ordered[1:] == ordered[:-1]).any():
+            return None
+        decided = np.flatnonzero((words >> 11) * 2.0**-53 < p).tolist()
+        words = words.tolist()
+        limit = size - _SLACK
+        i = 0  # window offset of pair k's decision word
+        for j in decided:
+            if j < i:  # a word of the last weight draw
+                continue
+            if j >= limit or j - i >= n_pairs - k:
+                break
+            k += j - i
+            hits.append(k)
+            bitgen.advance(base + j + 1 - at)
+            weights.append(max(rng.gamma(shape, scale), MIN_DURATION))
+            try:
+                i = words.index(bitgen.random_raw(), j + 1)
+            except ValueError:
+                return None
+            at = base + i + 1
+            k += 1
+        if n_pairs - k <= max(limit - i, 0):
+            break
+        k += max(limit - i, 0)
+        base += max(limit, i)
+    end = base + i + n_pairs - k
+    state = bitgen.advance(end - at).state
+    if bitgen.advance(-end).state["state"] != start["state"]:
+        return None
+    # advance() dropped the buffered 32-bit half, which the scalar loop keeps.
+    bitgen.state = dict(state, has_uint32=start["has_uint32"], uinteger=start["uinteger"])
+    return hits, weights
 
 
 def series_parallel(

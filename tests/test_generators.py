@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import TaskGraphError
+from repro.experiments.sweep import GRAPH_FAMILIES
 from repro.taskgraph import generators as gen
+from repro.taskgraph.graph import TaskGraph
+from repro.taskgraph.io import to_dict
 from repro.taskgraph.properties import graph_width, parallelism_profile
 
 
@@ -185,3 +191,216 @@ class TestDrawDuration:
         # _draw_duration predates the public name; generators and families
         # must share one clamp.
         assert gen._draw_duration is gen.draw_duration
+
+
+def _scalar_random_dag(n_tasks, edge_probability=0.15, mean_duration=10.0, duration_cv=0.5,
+                       mean_comm=2.0, comm_cv=0.5, *, seed):
+    """``random_dag`` as one scalar draw per duration, pair and weight: the reference stream.
+
+    *seed* is the Generator to draw from, named like ``random_dag``'s argument.
+    """
+    rng = seed
+    g = TaskGraph("random_dag")
+    order = list(rng.permutation(n_tasks))
+    for i in range(n_tasks):
+        g.add_task(i, gen.draw_duration(rng, mean_duration, duration_cv), label=f"t{i}")
+    for a in range(n_tasks):
+        for b in range(a + 1, n_tasks):
+            if rng.random() < edge_probability:
+                weight = gen.draw_duration(rng, mean_comm, comm_cv) if mean_comm > 0 else 0.0
+                g.add_dependency(int(order[a]), int(order[b]), weight)
+    return g
+
+
+def _assert_matches_scalar_loop(shape, make_rng):
+    """Same tasks, durations, edge order and weights, and the same generator end state."""
+    rng, reference = make_rng(), make_rng()
+    got = to_dict(gen.random_dag(**shape, seed=rng))
+    want = to_dict(_scalar_random_dag(**shape, seed=reference))
+    for part in ("tasks", "edges"):
+        # Compared as JSON, so an int where the loop gives a float differs too.
+        differ = [i for i, (x, y) in enumerate(zip(got[part], want[part])) if json.dumps(x) != json.dumps(y)]
+        assert len(got[part]) == len(want[part]) and not differ, (
+            f"{part}: {len(got[part])} vs {len(want[part])}, first differing at {differ[:1]}"
+        )
+    assert _state(rng) == _state(reference)
+
+
+def _state(rng) -> str:
+    """The bit generator's whole state (MT19937 keeps an array in it)."""
+    return json.dumps(rng.bit_generator.state, sort_keys=True, default=np.ndarray.tolist)
+
+
+#: The sweep families and the shapes that take random_dag's other branches.
+SHAPES = {
+    "dag200": dict(n_tasks=200, edge_probability=0.08, mean_duration=15.0, mean_comm=5.0),
+    "dag": dict(n_tasks=40, edge_probability=0.2, mean_duration=15.0, mean_comm=5.0),
+    "dag-dense": dict(n_tasks=60, edge_probability=0.35, mean_duration=15.0, mean_comm=8.0),
+    "comm_cv2": dict(n_tasks=80, edge_probability=0.25, comm_cv=2.0),
+    "mean_comm0": dict(n_tasks=60, edge_probability=0.3, mean_comm=0.0),
+    "mean_comm_nan": dict(n_tasks=30, edge_probability=0.3, mean_comm=float("nan")),
+    "comm_cv0": dict(n_tasks=60, edge_probability=0.3, comm_cv=0.0),
+    "duration_cv0": dict(n_tasks=50, edge_probability=0.2, duration_cv=0.0),
+    "cv20": dict(n_tasks=40, edge_probability=0.3, duration_cv=20.0, comm_cv=20.0),
+    "n1": dict(n_tasks=1),
+    "n2": dict(n_tasks=2, edge_probability=0.5),
+    "p0": dict(n_tasks=30, edge_probability=0.0),
+    "p1": dict(n_tasks=30, edge_probability=1.0),
+}
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Count the scalar pair loop's runs inside ``random_dag``."""
+    calls = []
+    scalar = gen._scalar_edges
+
+    def spy(*args):
+        calls.append(args[1:])
+        return scalar(*args)
+
+    monkeypatch.setattr(gen, "_scalar_edges", spy)
+    return calls
+
+
+class TestLookaheadPairLoop:
+    """``random_dag``'s raw-word replay against the scalar pair loop."""
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_shapes_match_the_scalar_loop(self, shape, fallbacks):
+        for seed in range(6):
+            _assert_matches_scalar_loop(SHAPES[shape], lambda: np.random.default_rng(seed))
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("n", [3, 25, 120, 300])
+    @pytest.mark.parametrize("p", [0.02, 0.3])
+    @pytest.mark.parametrize("comm_cv", [0.5, 2.0])
+    def test_sizes_up_to_300_tasks(self, n, p, comm_cv, fallbacks):
+        for seed in range(2):
+            shape = dict(n_tasks=n, edge_probability=p, comm_cv=comm_cv)
+            _assert_matches_scalar_loop(shape, lambda: np.random.default_rng(1000 * n + seed))
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("window", [70, 97, 250, 1000])
+    def test_windows_that_end_mid_row(self, monkeypatch, window, fallbacks):
+        monkeypatch.setattr(gen, "_WINDOW", window)
+        for seed in range(4):
+            for shape in (SHAPES["dag"], SHAPES["comm_cv2"], dict(n_tasks=150, edge_probability=0.05)):
+                _assert_matches_scalar_loop(shape, lambda: np.random.default_rng(seed))
+        assert fallbacks == []
+
+    def test_weight_draws_that_run_past_their_window_fall_back(self, monkeypatch, fallbacks):
+        monkeypatch.setattr(gen, "_WINDOW", 40)
+        monkeypatch.setattr(gen, "_SLACK", 3)
+        for seed in range(8):
+            _assert_matches_scalar_loop(SHAPES["comm_cv2"], lambda: np.random.default_rng(seed))
+        assert len(fallbacks) == 8
+
+    @pytest.mark.parametrize("cv", ["duration_cv", "comm_cv"])
+    def test_a_nan_cv_is_rejected_like_the_scalar_loop(self, cv):
+        shape = dict(SHAPES["dag"], **{cv: float("nan")})
+        for build in (gen.random_dag, _scalar_random_dag):
+            with pytest.raises(ValueError, match="must be a finite non-negative number, got nan"):
+                build(**shape, seed=np.random.default_rng(0))
+
+    def test_a_passed_generator_keeps_its_buffered_half(self, fallbacks):
+        """``advance`` drops PCG64's buffered 32-bit half; the caller gets it back."""
+        held = 0
+
+        def buffered(seed):
+            rng = np.random.default_rng(seed)
+            rng.integers(0, 7)  # a 32-bit draw: the other half stays buffered
+            return rng
+
+        for seed in range(20):
+            _assert_matches_scalar_loop(SHAPES["dag"], lambda: buffered(seed))
+            rng = buffered(seed)
+            gen.random_dag(**SHAPES["dag"], seed=rng)
+            held += rng.bit_generator.state["has_uint32"]
+        assert fallbacks == []
+        assert 0 < held < 20  # both end states occur
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox])
+    def test_other_bit_generators_take_the_scalar_loop(self, bit_generator, fallbacks):
+        for seed in range(3):
+            for shape in (SHAPES["dag"], SHAPES["comm_cv2"]):
+                _assert_matches_scalar_loop(shape, lambda: np.random.Generator(bit_generator(seed)))
+        assert len(fallbacks) == 6
+        # No weight draws: one vectorized decision draw, for any bit generator.
+        _assert_matches_scalar_loop(SHAPES["mean_comm0"], lambda: np.random.Generator(bit_generator(7)))
+        assert len(fallbacks) == 6
+
+    def test_a_failed_replay_restarts_from_the_saved_state(self, monkeypatch, fallbacks):
+        replay = gen._lookahead_edges
+
+        def replay_then_fail(*args):
+            assert replay(*args) is not None  # the generator has moved on
+            return None
+
+        monkeypatch.setattr(gen, "_lookahead_edges", replay_then_fail)
+        for seed in range(4):
+            _assert_matches_scalar_loop(SHAPES["dag200"], lambda: np.random.default_rng(seed))
+        assert len(fallbacks) == 4
+
+    def test_a_repeated_window_word_is_refused(self):
+        """A window that shows the word after a weight draw twice must not be trusted.
+
+        The first window is doctored: the first edge's weight draw is followed
+        by word *m*, and a copy of it is planted in the draw's own first word.
+        Located by value, the copy would make the replay miscount the draw's
+        words and decide later pairs from the wrong words.
+        """
+        shape, scale, p = 4.0, 0.5, 0.2  # comm_cv 0.5, mean_comm 2
+
+        class PlantedRepeat:
+            def __init__(self, seed):
+                self.real = np.random.PCG64(seed)
+                self.planted = False
+
+            def advance(self, delta):
+                self.real.advance(delta)
+                return self
+
+            @property
+            def state(self):
+                return self.real.state
+
+            @state.setter
+            def state(self, value):
+                self.real.state = value
+
+            def random_raw(self, size=None):
+                start = self.real.state
+                words = self.real.random_raw(size)
+                if size is None or self.planted:
+                    return words
+                self.planted = True
+                j = int(np.flatnonzero((words >> 11) * 2.0**-53 < p)[0])
+                probe = np.random.Generator(np.random.PCG64(0))
+                probe.bit_generator.state = start
+                probe.bit_generator.advance(j + 1)
+                probe.gamma(shape, scale)
+                m = words.tolist().index(probe.bit_generator.random_raw())
+                assert m > j + 1
+                words[j + 1] = words[m]
+                return words
+
+        n_pairs = 40 * 39 // 2
+        for seed in range(5):
+            bitgen = PlantedRepeat(seed)
+            rng = SimpleNamespace(bit_generator=bitgen, gamma=np.random.Generator(bitgen.real).gamma)
+            found = gen._lookahead_edges(rng, n_pairs, p, 2.0, 0.5)
+            reference = gen._scalar_edges(np.random.default_rng(np.random.PCG64(seed)), n_pairs, p, 2.0, 0.5)
+            assert found is None or found == reference
+            assert found is None
+
+    def test_the_sweep_graphs_never_fall_back(self, fallbacks):
+        """A silent fallback would cost the sweep its speed-up with no test failing."""
+        for seed in range(64):  # perfbench sweep-dag200 seeds 0 and 1
+            GRAPH_FAMILIES["dag200"](seed)
+        for seed in range(16):
+            GRAPH_FAMILIES["dag"](seed)
+            GRAPH_FAMILIES["dag-dense"](seed)
+        for seed in range(32):
+            gen.random_dag(100, 0.1, comm_cv=2.0, seed=seed)
+        assert fallbacks == []
