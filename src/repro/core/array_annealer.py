@@ -13,10 +13,15 @@ walk here moves the remaining per-proposal Python overhead onto flat arrays:
   plus an explicit insertion-order list that reproduces the dict-order
   semantics the kernel walk relies on (drop-victim selection and the
   full-cost resynchronization both iterate in insertion order); randomness is
-  consumed from per-temperature blocks of pre-drawn values — one
-  ``random_raw`` bulk pull converted **vectorized** into the exact doubles
-  and 32-bit halves :class:`~repro.utils.rng.StreamDraws` would have produced
-  one scalar call at a time.  Every stochastic decision and every float
+  consumed from blocks of pre-drawn values (:func:`_draw_block`) — one
+  ``random_raw`` bulk pull converted **vectorized** into numpy arrays of the
+  exact doubles and 32-bit halves :class:`~repro.utils.rng.StreamDraws`
+  would have produced one scalar call at a time.  The walk reads the arrays
+  through memoryviews, so it makes a Python float or int only for a word it
+  reads, and it reads each word as a double or as halves, never both.  A
+  block keeps its unread tail and is refilled before a temperature step
+  whose worst case no longer fits, with :data:`_WORDS_PER_MOVE` words per
+  proposal: about 40 steps' worth.  Every stochastic decision and every float
   operation happens in the same order as the kernel walk, so a fixed-seed run
   is bit-for-bit identical to both ``_anneal_indexed`` and the
   ``SAConfig(compiled=False)`` reference.  The walk itself is a resumable
@@ -30,9 +35,11 @@ walk here moves the remaining per-proposal Python overhead onto flat arrays:
   :func:`_single_idle_walk` adapter).
   Its whole mapping is one integer (the task on the processor, or -1), each
   task's add and drop deltas are built once per packet, and its draw blocks
-  carry every 32-bit half already mapped to numpy's ``integers(0, n_ready)``
-  answer (Lemire's method, vectorized; the rare half that fails the fast
-  test is settled exactly in :func:`_lemire_retry`).  It draws the same raw
+  (the same blocks, refilled by the same rule) carry every 32-bit half
+  already mapped to numpy's ``integers(0, n_ready)`` answer (Lemire's
+  method, vectorized; the rare half that fails the fast test is settled
+  exactly in :func:`_lemire_retry`, which settles the array walk's raw
+  halves too).  It draws the same raw
   words and applies the same float operations in the same order, so it is
   bit-identical too; :func:`_array_walk` remains the ``n_idle >= 2`` path
   and its differential oracle.  No option selects between them:
@@ -99,7 +106,15 @@ __all__ = [
 
 _INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53, numpy's double construction
 _M32 = (1 << 32) - 1
+#: Raw words drawn per refill of a walk's draw block, per proposal of a
+#: temperature step (*moves*).  A walk reads ~2.5 words per proposal, so a
+#: block lasts ~40 steps, the paper's step budget
+#: (:meth:`~repro.core.config.SAConfig.paper_defaults`): most walks refill once.
+_WORDS_PER_MOVE = 112
+#: Raw words a Lemire rejection loop draws when it runs off a block's end.
 _RAW_BLOCK = 1024
+#: The empty draw block (see :func:`_draw_block`); its dtypes set every block's.
+_NO_WORDS = tuple(memoryview(np.empty(0, t)) for t in (np.float64, np.int64, np.int64))
 
 
 # --------------------------------------------------------------------------- #
@@ -172,27 +187,12 @@ def _array_walk(
     bitgen = rng.bit_generator
     gstate = bitgen.state
     half = int(gstate["uinteger"]) if gstate.get("has_uint32") else None
-    dbl: List[float] = []
-    lo: List[int] = []
-    hi: List[int] = []
+    block = dbl, lo, hi = _NO_WORDS
     pos = 0
-    blen = 0
     # Worst-case consumption of one temperature block: four raw words per
     # proposal (drop check, task, processor, acceptance) plus slack for the
     # Lemire rejection loop (probability < 2**-26 per draw).
     worst = 4 * moves + 64
-
-    def refill(extra: int = _RAW_BLOCK) -> None:
-        nonlocal dbl, lo, hi, pos, blen
-        raw = bitgen.random_raw(extra)
-        dbl = dbl[pos:]
-        dbl.extend(((raw >> 11) * _INV_2_53).tolist())
-        lo = lo[pos:]
-        lo.extend((raw & _M32).tolist())
-        hi = hi[pos:]
-        hi.extend((raw >> 32).tolist())
-        pos = 0
-        blen = len(dbl)
 
     exp = math.exp
     drop_p = _DROP_PROBABILITY
@@ -205,8 +205,11 @@ def _array_walk(
             raise ValueError(f"temperature must be >= 0, got {temperature}")
         zero_temp = temperature == 0.0
         infinite_temp = math.isinf(temperature)
-        if blen - pos < worst:
-            refill(max(worst, _RAW_BLOCK))
+        if len(dbl) - pos < worst:
+            block = dbl, lo, hi = _draw_block(
+                bitgen, block, pos, _WORDS_PER_MOVE * moves, None
+            )
+            pos = 0
         for _ in range(moves):
             # ---- propose (kernel-walk logic over flat state) -------------- #
             # move kinds: 0 zero-delta, 1 drop, 2 (re)assign, 3 replace, 4 swap
@@ -227,22 +230,12 @@ def _array_walk(
                             half = hi[pos]
                             pos += 1
                         m = u32 * na
-                        leftover = m & _M32
-                        if leftover < na:  # pragma: no cover - ~2**-26 per draw
-                            threshold = (4294967296 - na) % na
-                            while leftover < threshold:
-                                if half is not None:
-                                    u32 = half
-                                    half = None
-                                else:
-                                    if pos >= blen:
-                                        refill()
-                                    u32 = lo[pos]
-                                    half = hi[pos]
-                                    pos += 1
-                                m = u32 * na
-                                leftover = m & _M32
                         vidx = m >> 32
+                        if m & _M32 < na:  # pragma: no cover - ~2**-26 per draw
+                            vidx, half, pos, block = _lemire_retry(
+                                -1 - u32, na, half, pos, block, bitgen, None
+                            )
+                            dbl, lo, hi = block
                     task = order[vidx]
                     old_j = assign[task]
                     kind = 1
@@ -264,22 +257,12 @@ def _array_walk(
                             half = hi[pos]
                             pos += 1
                         m = u32 * n_ready
-                        leftover = m & _M32
-                        if leftover < n_ready:  # pragma: no cover
-                            threshold = (4294967296 - n_ready) % n_ready
-                            while leftover < threshold:
-                                if half is not None:
-                                    u32 = half
-                                    half = None
-                                else:
-                                    if pos >= blen:
-                                        refill()
-                                    u32 = lo[pos]
-                                    half = hi[pos]
-                                    pos += 1
-                                m = u32 * n_ready
-                                leftover = m & _M32
                         task = m >> 32
+                        if m & _M32 < n_ready:  # pragma: no cover
+                            task, half, pos, block = _lemire_retry(
+                                -1 - u32, n_ready, half, pos, block, bitgen, None
+                            )
+                            dbl, lo, hi = block
                     cur = assign[task]
                     if cur < 0:
                         # integers(0, n_idle)
@@ -294,22 +277,12 @@ def _array_walk(
                                 half = hi[pos]
                                 pos += 1
                             m = u32 * n_idle
-                            leftover = m & _M32
-                            if leftover < n_idle:  # pragma: no cover
-                                threshold = (4294967296 - n_idle) % n_idle
-                                while leftover < threshold:
-                                    if half is not None:
-                                        u32 = half
-                                        half = None
-                                    else:
-                                        if pos >= blen:
-                                            refill()
-                                        u32 = lo[pos]
-                                        half = hi[pos]
-                                        pos += 1
-                                    m = u32 * n_idle
-                                    leftover = m & _M32
                             new_j = m >> 32
+                            if m & _M32 < n_idle:  # pragma: no cover
+                                new_j, half, pos, block = _lemire_retry(
+                                    -1 - u32, n_idle, half, pos, block, bitgen, None
+                                )
+                                dbl, lo, hi = block
                     elif n_idle == 1:
                         new_j = -1  # nowhere else to go: zero-delta proposal
                     else:
@@ -326,22 +299,12 @@ def _array_walk(
                                 half = hi[pos]
                                 pos += 1
                             m = u32 * bound
-                            leftover = m & _M32
-                            if leftover < bound:  # pragma: no cover
-                                threshold = (4294967296 - bound) % bound
-                                while leftover < threshold:
-                                    if half is not None:
-                                        u32 = half
-                                        half = None
-                                    else:
-                                        if pos >= blen:
-                                            refill()
-                                        u32 = lo[pos]
-                                        half = hi[pos]
-                                        pos += 1
-                                    m = u32 * bound
-                                    leftover = m & _M32
                             idx = m >> 32
+                            if m & _M32 < bound:  # pragma: no cover
+                                idx, half, pos, block = _lemire_retry(
+                                    -1 - u32, bound, half, pos, block, bitgen, None
+                                )
+                                dbl, lo, hi = block
                         if idx >= cur:
                             idx += 1
                         new_j = idx
@@ -468,32 +431,36 @@ def _task_indices(halves: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _draw_block(bitgen, block, pos: int, count: int, n: int):
+def _draw_block(bitgen, block, pos: int, count: int, n: Optional[int]):
     """Drop *block*'s first *pos* words and append *count* fresh raw words.
 
-    A block is three parallel lists over raw 64-bit words: the double each
-    word makes and the pre-indexed task draw (:func:`_task_indices`) of its
-    low and of its high 32-bit half.
+    A block is three memoryviews over parallel numpy arrays, one entry per
+    raw 64-bit word: the double it makes (float64), and its low and its high
+    32-bit half (int64) — raw for ``n=None``, otherwise pre-indexed to
+    ``integers(0, n)`` (:func:`_task_indices`).  Reading an entry makes a
+    Python object for that word only.  The empty block is :data:`_NO_WORDS`.
     """
     raw = bitgen.random_raw(count)
-    dbl, task_lo, task_hi = block
-    # "<u4" pairs are (low, high) halves whatever the platform's byte order.
-    halves = raw.astype("<u8", copy=False).view("<u4").astype(np.uint64)
-    indices = _task_indices(halves, n)
+    halves = np.concatenate((raw & _M32, raw >> 32))
+    halves = halves.view(np.int64) if n is None else _task_indices(halves, n)
+    dbl, lo, hi = block
     return (
-        dbl[pos:] + ((raw >> 11) * _INV_2_53).tolist(),
-        task_lo[pos:] + indices[0::2].tolist(),
-        task_hi[pos:] + indices[1::2].tolist(),
+        memoryview(np.concatenate((dbl[pos:], (raw >> 11) * _INV_2_53))),
+        memoryview(np.concatenate((lo[pos:], halves[:count]))),
+        memoryview(np.concatenate((hi[pos:], halves[count:]))),
     )
 
 
-def _lemire_retry(enc: int, n: int, half, pos: int, block, bitgen):
-    """Settle a task draw whose half (entry *enc* < 0) failed the fast test.
+def _lemire_retry(enc: int, n: int, half, pos: int, block, bitgen, block_n):
+    """Settle an ``integers(0, n)`` draw whose half failed Lemire's fast test.
 
-    numpy's rejection loop: the threshold test, then fresh halves (the
-    buffered *half* first, then words of *block*, refilled with
-    :data:`_RAW_BLOCK` words at its end) until one is accepted.  Returns
-    ``(index, half, pos, block)``.
+    *enc* is ``-(u32 + 1)`` for the failed half ``u32``.  numpy's rejection
+    loop: the threshold test, then fresh halves (the buffered *half* first,
+    then words of *block*, refilled with :data:`_RAW_BLOCK` words at its
+    end) until one is accepted.  *block_n* is the *n* of :func:`_draw_block`
+    that drew *block*: ``None`` for raw halves, which each take the threshold
+    test, otherwise an entry that passed the fast test is the answer.
+    Returns ``(index, half, pos, block)``.
     """
     threshold = (4294967296 - n) % n
     while True:
@@ -504,11 +471,13 @@ def _lemire_retry(enc: int, n: int, half, pos: int, block, bitgen):
             enc, half = half, None
         else:
             if pos >= len(block[0]):
-                block = _draw_block(bitgen, block, pos, _RAW_BLOCK, n)
+                block = _draw_block(bitgen, block, pos, _RAW_BLOCK, block_n)
                 pos = 0
             enc, half = block[1][pos], block[2][pos]
             pos += 1
-        if enc >= 0:
+        if block_n is None:
+            enc = -1 - enc
+        elif enc >= 0:
             return enc, half, pos, block
 
 
@@ -637,10 +606,9 @@ def _one_slot_walk(
     half = None  # the buffered half's block entry; None when there is none
     if gstate.get("has_uint32"):
         half = int(_task_indices(np.array([gstate["uinteger"]], np.uint64), n)[0])
-    block = dbl, task_lo, task_hi = [], [], []
+    block = dbl, task_lo, task_hi = _NO_WORDS
     pos = 0
-    blen = 0
-    worst = 4 * moves + 64  # _array_walk's block reserve: same raw words drawn
+    worst = 4 * moves + 64  # _array_walk's reserve and refills: same raw words drawn
     one_task = n == 1
 
     exp = math.exp
@@ -654,11 +622,11 @@ def _one_slot_walk(
             raise ValueError(f"temperature must be >= 0, got {temperature}")
         zero_temp = temperature == 0.0
         regular = not (zero_temp or math.isinf(temperature))
-        if blen - pos < worst:
-            block = _draw_block(bitgen, block, pos, max(worst, _RAW_BLOCK), n)
-            dbl, task_lo, task_hi = block
+        if len(dbl) - pos < worst:
+            block = dbl, task_lo, task_hi = _draw_block(
+                bitgen, block, pos, _WORDS_PER_MOVE * moves, n
+            )
             pos = 0
-            blen = len(dbl)
         for _ in range(moves):
             if state >= 0 and dbl[pos] < drop_p:
                 pos += 1
@@ -677,9 +645,8 @@ def _one_slot_walk(
                     new = half
                     half = None
                 if new < 0:  # failed Lemire's fast test: ~n * 2**-32 per draw
-                    new, half, pos, block = _lemire_retry(new, n, half, pos, block, bitgen)
+                    new, half, pos, block = _lemire_retry(new, n, half, pos, block, bitgen, n)
                     dbl, task_lo, task_hi = block
-                    blen = len(dbl)
                 if state < 0:
                     delta = add[new]
                 elif new == state:
@@ -770,6 +737,14 @@ def anneal_array(
     :func:`_one_slot_walk`; *problem* is then the start, the task index on
     the processor or ``-1``.  See the module docstring for the draw-block
     and insertion-order machinery.
+
+    The walk draws raw words a block ahead of its reads, so *rng* ends up
+    to one block past the last word the walk used.  No caller in the
+    package reuses it: :meth:`PacketAnnealer._anneal_one_slot
+    <repro.core.packet_annealer.PacketAnnealer._anneal_one_slot>`'s run
+    generator, :func:`~repro.core.packet_annealer._split_rng`'s run twin
+    and every lane's (one per :func:`repro.utils.rng.split` child) are
+    private to one walk.
     """
     if type(annealer.acceptance) is not BoltzmannSigmoidAcceptance:
         raise ValueError("anneal_array requires BoltzmannSigmoidAcceptance")
