@@ -17,8 +17,10 @@ Six contracts are pinned here:
   B)`` runs are deterministic with ``B = 1`` matching the single chain;
 * the single-idle walk, which both drivers select for packets with one
   idle processor, replays ``_array_walk`` (the oracle) sample for sample,
-  result for result and raw word for raw word, and its pre-indexed task
-  draws decode to numpy's own ``integers(0, n)``, rejection loop included;
+  result for result and raw word for raw word; both walks' draw blocks
+  (pre-indexed and raw halves) decode to numpy's own scalar ``random()``
+  and ``integers(0, n)``, rejection loop included, and both walks equal
+  the ``compiled=False`` reference, which draws through numpy;
 * :func:`~repro.core.array_annealer.compile_fast_packet`, through SA's
   run-long row cache, builds kernels — and, for one-idle epochs, one-slot
   columns and ranges — bit-identical to the cold
@@ -36,6 +38,7 @@ Six contracts are pinned here:
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -51,6 +54,7 @@ from repro.annealing.replicas import ReplicaStats, best_replica_index, summarize
 from repro.annealing.stopping import StoppingRule
 from repro.comm.model import LinearCommModel, ZeroCommModel
 from repro.core.array_annealer import (
+    _NO_WORDS,
     OneSlotPacket,
     ReadyRowCache,
     _array_walk,
@@ -592,35 +596,77 @@ class TestSingleIdleWalk:
 
 
 # --------------------------------------------------------------------------- #
-# Pre-indexed task draws and the rare Lemire rejection path
+# Draw blocks against numpy's scalar draws, and the rare Lemire rejection path
 # --------------------------------------------------------------------------- #
 
 
-def _decode_task_draws(rng, n, count, block_words):
-    """Decode *count* ``integers(0, n)`` draws the way the single-idle walk
-    does: pre-indexed block entries, the buffered half first, and
-    :func:`_lemire_retry` for entries that failed the fast test.  Refills
-    here call this module's ``_draw_block`` import, not the module global
-    :func:`_lemire_retry` looks up."""
+def _mixed_ops(seed, count=3000):
+    """A long mixed sequence of ``"r"`` (``random()``) and ``"i"``
+    (``integers(0, n)``) draws, cut into temperature steps by ``"|"``."""
+    pick = random.Random(seed)
+    ops = []
+    while len(ops) < count:
+        ops.append("|")
+        ops.extend(pick.choice("rri") for _ in range(pick.randint(1, 24)))
+    return ops
+
+
+def _decode_draws(rng, ops, n, block_n, reserve=0):
+    """Replay *ops* from draw blocks the way the walks read them.
+
+    ``"r"`` reads a word's double.  ``"i"`` is an ``integers(0, n)`` draw
+    (none for ``n = 1``, like numpy): the buffered half first, else a word's
+    low half with its high half buffered.  Blocks come from
+    :func:`_draw_block` for *block_n*: *n* for pre-indexed halves, ``None``
+    for raw halves, which take Lemire's fast test here as ``_array_walk``
+    does inline.  A half that fails the fast test goes to
+    :func:`_lemire_retry`.  ``"|"`` starts a temperature step: a block with
+    fewer than *reserve* unread words gets *reserve* fresh words behind its
+    unread tail.  A read past a block's end refills ``_RAW_BLOCK`` words,
+    mid-step.  Refills here call this module's ``_draw_block`` import, not
+    the module global :func:`_lemire_retry` looks up.  Returns the draws and
+    the counts of failed fast tests, of refills behind an unread tail and of
+    refills at a block's end.
+    """
     bitgen = rng.bit_generator
     state = bitgen.state
     half = None
     if state["has_uint32"]:
-        half = int(_task_indices(np.array([state["uinteger"]], np.uint64), n)[0])
-    block, pos, out, slow = ([], [], []), 0, [], 0
-    for _ in range(count):
-        if half is not None:
-            entry, half = half, None
-        else:
+        half = int(state["uinteger"])
+        if block_n is not None:
+            half = int(array_annealer_module._task_indices(np.array([half], np.uint64), n)[0])
+    block, pos, out = _NO_WORDS, 0, []
+    counts = {"slow": 0, "tail_refills": 0, "end_refills": 0}
+    for op in ops:
+        if op == "|":
+            if len(block[0]) - pos < reserve:
+                counts["tail_refills"] += pos < len(block[0])
+                block, pos = _draw_block(bitgen, block, pos, reserve, block_n), 0
+            continue
+        if op == "i" and n == 1:
+            out.append(0)
+            continue
+        if op == "r" or half is None:
             if pos >= len(block[0]):
-                block, pos = _draw_block(bitgen, block, pos, block_words, n), 0
+                counts["end_refills"] += 1
+                words = array_annealer_module._RAW_BLOCK
+                block, pos = _draw_block(bitgen, block, pos, words, block_n), 0
+            if op == "r":
+                out.append(block[0][pos])
+                pos += 1
+                continue
             entry, half = block[1][pos], block[2][pos]
             pos += 1
+        else:
+            entry, half = half, None
+        if block_n is None:
+            m = entry * n
+            entry = m >> 32 if m & 0xFFFFFFFF >= n else -1 - entry
         if entry < 0:
-            slow += 1
-            entry, half, pos, block = _lemire_retry(entry, n, half, pos, block, bitgen)
+            counts["slow"] += 1
+            entry, half, pos, block = _lemire_retry(entry, n, half, pos, block, bitgen, block_n)
         out.append(entry)
-    return out, slow
+    return out, counts
 
 
 class TestPreIndexedDraws:
@@ -628,7 +674,8 @@ class TestPreIndexedDraws:
     def test_decoded_draws_equal_numpys_integers(self, n, monkeypatch):
         """n = 2**31 + 1 rejects about half of all draws and 2**32 - 1 fails
         the fast test almost always; single-word refills inside the rejection
-        loop are counted through the module's _draw_block."""
+        loop are counted through the module's _draw_block.  Pre-indexed and
+        raw halves alike."""
         retry_refills = []
 
         def counted_draw_block(bitgen, block, pos, count, n):
@@ -637,19 +684,21 @@ class TestPreIndexedDraws:
 
         monkeypatch.setattr(array_annealer_module, "_RAW_BLOCK", 1)
         monkeypatch.setattr(array_annealer_module, "_draw_block", counted_draw_block)
-        reference = np.random.default_rng(11)
-        rng = np.random.default_rng(11)
-        reference.integers(0, n)
-        rng.integers(0, n)  # a buffered half at the start
-        got, slow = _decode_task_draws(rng, n, 400, 2)
-        assert got == [int(reference.integers(0, n)) for _ in range(400)]
-        assert all(0 <= x < n for x in got)
-        if n == 3:
-            assert slow == 0 and not retry_refills
-        elif n == 2**31 + 1:
-            assert retry_refills and set(retry_refills) == {1}
-        else:
-            assert slow > 390
+        for block_n in (n, None):
+            retry_refills.clear()
+            reference = np.random.default_rng(11)
+            rng = np.random.default_rng(11)
+            reference.integers(0, n)
+            rng.integers(0, n)  # a buffered half at the start
+            got, counts = _decode_draws(rng, "i" * 400, n, block_n)
+            assert got == [int(reference.integers(0, n)) for _ in range(400)]
+            assert all(0 <= x < n for x in got)
+            if n == 3:
+                assert counts["slow"] == 0 and not retry_refills
+            elif n == 2**31 + 1:
+                assert retry_refills and set(retry_refills) == {1}
+            else:
+                assert counts["slow"] > 390
 
     def test_entries_are_lemire_indices_or_encoded_slow_halves(self):
         halves = np.array([0, 1, 5, 2**31, 2**32 - 1], dtype=np.uint64)
@@ -664,15 +713,103 @@ class TestPreIndexedDraws:
 
     def test_retry_accepts_at_the_threshold_and_rejects_below(self):
         """For n = 3 the threshold is 1: u32 = 0xAAAAAAAB leaves exactly 1 and
-        is accepted; u32 = 0 leaves 0 and is rejected for the buffered half."""
+        is accepted; u32 = 0 leaves 0 and is rejected for the buffered half,
+        a pre-indexed entry or a raw half that then takes the threshold test."""
         n = 3
         assert (4294967296 - n) % n == 1
-        block = ([], [], [])
+        block = _NO_WORDS
         bitgen = np.random.default_rng(0).bit_generator
-        assert _lemire_retry(-(0xAAAAAAAB + 1), n, None, 0, block, bitgen) == (
+        assert _lemire_retry(-(0xAAAAAAAB + 1), n, None, 0, block, bitgen, n) == (
             2, None, 0, block
         )
-        assert _lemire_retry(-1, n, 1, 0, block, bitgen) == (1, None, 0, block)
+        assert _lemire_retry(-1, n, 1, 0, block, bitgen, n) == (1, None, 0, block)
+        assert _lemire_retry(-1, n, 0xAAAAAAAB, 0, block, bitgen, None) == (
+            2, None, 0, block
+        )
+
+
+class TestDrawBlocks:
+    @pytest.mark.parametrize("raw_block", [1, 7, array_annealer_module._RAW_BLOCK])
+    @pytest.mark.parametrize("n", [1, 2, 3, 212, 257, 5000, 2**31 + 1])
+    @pytest.mark.parametrize("halves", ["pre-indexed", "raw", "pre-indexed, all slow"])
+    def test_mixed_draws_equal_numpys_scalar_calls(self, halves, n, raw_block, monkeypatch):
+        """Long mixed random() / integers(0, n) sequences decode from both
+        block kinds to the values and types of numpy's own scalar calls, with
+        and without a buffered half at the start, through refills behind an
+        unread tail and refills of _RAW_BLOCK words mid-step.  "all slow"
+        marks every half as failing the fast test, so each task draw is
+        settled in _lemire_retry."""
+        monkeypatch.setattr(array_annealer_module, "_RAW_BLOCK", raw_block)
+        if halves.endswith("all slow"):
+            monkeypatch.setattr(
+                array_annealer_module, "_task_indices",
+                lambda h, n: -1 - h.view(np.int64),
+            )
+        ops = _mixed_ops(n)
+        for buffered in (False, True):
+            rng = _rng_with_buffered_half(n) if buffered else np.random.default_rng(n)
+            reference = _rng_with_buffered_half(n) if buffered else np.random.default_rng(n)
+            got, counts = _decode_draws(
+                rng, ops, n, None if halves == "raw" else n, reserve=8
+            )
+            expected = [
+                reference.random() if op == "r" else int(reference.integers(0, n))
+                for op in ops if op != "|"
+            ]
+            assert got == expected
+            assert [type(v) for v in got] == [type(v) for v in expected]
+            assert counts["tail_refills"] and counts["end_refills"]
+
+    @pytest.mark.parametrize("block_n", [None, 5])
+    def test_blocks_are_typed_views_that_keep_the_unread_tail(self, block_n):
+        """Doubles as float64, halves as int64 (low, then high), whichever
+        block kind; a refill keeps the words after *pos* in front."""
+        words = np.random.default_rng(4).bit_generator.random_raw(9)
+        bitgen = np.random.default_rng(4).bit_generator
+        block = _draw_block(bitgen, _NO_WORDS, 0, 4, block_n)
+        block = _draw_block(bitgen, block, 3, 5, block_n)
+        assert [np.asarray(column).dtype for column in block] == [
+            np.float64, np.int64, np.int64
+        ]
+        kept = words[3:]
+        lo, hi = kept & 0xFFFFFFFF, kept >> 32
+        if block_n is not None:
+            lo, hi = _task_indices(lo, block_n), _task_indices(hi, block_n)
+        assert block[0].tolist() == ((kept >> 11) * 2.0**-53).tolist()
+        assert block[1].tolist() == lo.tolist()
+        assert block[2].tolist() == hi.tolist()
+
+
+class TestWalksAgainstNumpysDraws:
+    """The compiled walks against ``SAConfig(compiled=False)``, which anneals
+    with numpy's own scalar draws instead of draw blocks."""
+
+    @pytest.mark.parametrize("machine_kind", sorted(_MACHINES))
+    @pytest.mark.parametrize("n_ready,n_idle", [(300, 1), (40, 5)])
+    def test_walks_equal_the_reference_path(self, n_ready, n_idle, machine_kind, monkeypatch):
+        """A single-idle packet with more than 256 ready tasks (pre-indexed
+        halves) and a multi-idle one (raw halves), walked long enough to
+        refill behind an unread tail."""
+        refills = []
+
+        def spy(bitgen, block, pos, count, n):
+            refills.append((n, len(block[0]) - pos))
+            return _draw_block(bitgen, block, pos, count, n)
+
+        monkeypatch.setattr(array_annealer_module, "_draw_block", spy)
+        packet = _make_packet(n_ready, n_idle, 1)
+        machine = _MACHINES[machine_kind](1)
+        fast, reference = (
+            PacketAnnealer(
+                SAConfig(seed=0, compiled=compiled, max_temperature_steps=150,
+                         stall_patience=150)
+            ).anneal(packet, machine, rng=3)
+            for compiled in (True, False)
+        )
+        assert _outcome_key(fast) == _outcome_key(reference)
+        assert {n for n, _ in refills} == {n_ready if n_idle == 1 else None}
+        assert len(refills) >= 2 and any(tail for _, tail in refills[1:])
+
 
 
 # --------------------------------------------------------------------------- #
