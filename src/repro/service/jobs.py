@@ -54,8 +54,11 @@ def lane_eligible(spec: dict) -> bool:
     run solo (each such cell is already an internal batch, and an anytime
     portfolio job's progress stream must attribute to exactly one job), and
     ``fast=False`` pins the reference object engine which has no lane path.
-    SA jobs with neither fan-out are eligible — coalescing them is the
-    service's main win, since annealing dominates per-job cost.
+    SA jobs with neither fan-out are eligible too.  :class:`SAScheduler
+    <repro.core.sa_scheduler.SAScheduler>` has no ``batch_assign``, so a
+    coalesced SA job still anneals on its own lane (``fast_assign`` inside
+    the batched engine call): coalescing shares the round trip and the
+    event loop, not the walk.
     """
     return (
         spec.get("replicas") is None

@@ -260,11 +260,18 @@ class TaskGraph:
         return True
 
     def validate(self) -> None:
-        """Check structural invariants; raise :class:`TaskGraphError` on violation.
+        """Check structural invariants; raise on the first violation.
 
-        Invariants: the graph is acyclic, durations and weights are
-        non-negative and finite, and the successor/predecessor maps are
-        mutually consistent.
+        Invariants, and what each raises:
+
+        * the graph is acyclic — :class:`CycleError` (a
+          :class:`TaskGraphError`);
+        * every duration and comm weight is a finite non-negative number —
+          :class:`ValueError` (from
+          :func:`~repro.utils.validation.check_non_negative`), not a
+          :class:`TaskGraphError`;
+        * the successor and predecessor maps agree on every edge and its
+          weight — :class:`TaskGraphError`.
 
         The scan is memoized against the structural version counter (tasks
         are frozen records, so every mutation bumps it): validating the same
