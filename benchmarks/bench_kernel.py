@@ -1,11 +1,12 @@
 """Microbenchmark: the packet-annealing hot path, compiled vs reference.
 
 The compiled packet kernel replaces per-proposal ``comm_model.cost()`` calls
-with precomputed dense tables and runs the annealing walk through a fused
-loop with bulk RNG draws (:class:`~repro.utils.rng.StreamDraws`).  This
-benchmark anneals a fixed bag of synthetic packets through both paths,
-asserts they commit identical mappings (same seed → same stream → same
-moves), and reports the speedup.  The CI assertion is deliberately loose
+with precomputed dense tables, and the array walk anneals over them with
+randomness read from blocks of raw words drawn in bulk
+(:func:`repro.core.array_annealer.anneal_array`).  This benchmark anneals a
+fixed bag of synthetic packets through both paths, asserts they commit
+identical mappings (same seed → same stream → same moves), and reports the
+speedup.  The CI assertion is deliberately loose
 (≥ 3×) to tolerate noisy shared runners; typical speedups are 5–8×.
 """
 

@@ -1,30 +1,34 @@
 """Array-native annealing walks: the resumable single-chain array walk, its
 single-idle specialisation, and the multi-lane loop that steps them.
 
-This module is the third performance tier of the packet annealer (see
-``SAConfig``): the *reference* tier evaluates every move through
-``comm_model.cost()`` calls (``compiled=False``), the *kernel* tier
-(:func:`~repro.core.packet_annealer._anneal_indexed`, PR 1) fuses the walk
-over the :class:`~repro.core.kernel.PacketKernel`'s dense tables, and the
-walk here moves the remaining per-proposal Python overhead onto flat arrays:
+These are the compiled walks of the packet annealer
+(:meth:`~repro.core.packet_annealer.PacketAnnealer.anneal_compiled`): the
+*reference* path evaluates every move through ``comm_model.cost()`` calls
+(``compiled=False``) in the generic
+:meth:`Annealer.run <repro.annealing.annealer.Annealer.run>` loop, and the
+walks here run the same search on the
+:class:`~repro.core.kernel.PacketKernel`'s dense tables, with the sigmoid
+acceptance rule (eq. 1) and the per-proposal Python overhead moved onto flat
+arrays:
 
 * :func:`anneal_array` — the single-chain walk on flat index state.  The
   mapping lives in assignment/occupancy vectors (``assign[i] = j`` or ``-1``)
-  plus an explicit insertion-order list that reproduces the dict-order
-  semantics the kernel walk relies on (drop-victim selection and the
-  full-cost resynchronization both iterate in insertion order); randomness is
-  consumed from blocks of pre-drawn values (:func:`_draw_block`) — one
-  ``random_raw`` bulk pull converted **vectorized** into numpy arrays of the
-  exact doubles and 32-bit halves :class:`~repro.utils.rng.StreamDraws`
-  would have produced one scalar call at a time.  The walk reads the arrays
+  plus an explicit insertion-order list that reproduces the dict order of
+  the reference path's :class:`~repro.core.packet.PacketMapping` (drop-victim
+  selection and the full-cost resynchronization both iterate in insertion
+  order); randomness is consumed from blocks of pre-drawn values
+  (:func:`_draw_block`) — one ``random_raw`` bulk pull converted
+  **vectorized** into numpy arrays of the exact doubles and 32-bit halves
+  numpy's scalar ``random()`` and ``integers(0, n)`` make of those raw
+  words.  The walk reads the arrays
   through memoryviews, so it makes a Python float or int only for a word it
   reads, and it reads each word as a double or as halves, never both.  A
   block keeps its unread tail and is refilled before a temperature step
   whose worst case no longer fits, with :data:`_WORDS_PER_MOVE` words per
   proposal: about 40 steps' worth.  Every stochastic decision and every float
-  operation happens in the same order as the kernel walk, so a fixed-seed run
-  is bit-for-bit identical to both ``_anneal_indexed`` and the
-  ``SAConfig(compiled=False)`` reference.  The walk itself is a resumable
+  operation happens in the same order as the reference path, so a fixed-seed
+  run is bit-for-bit identical to ``SAConfig(compiled=False)`` and to
+  ``Annealer.run`` over the kernel.  The walk itself is a resumable
   generator (:func:`_array_walk`) that pauses after every temperature step;
   :func:`anneal_array` drives it with the annealer's stopping rule.
 
@@ -141,8 +145,8 @@ def _array_walk(
     state0 = problem.initial_state(rng)
     n_ready, n_idle = kernel.n_ready, kernel.n_idle
     # Flat mapping state: assignment / occupancy vectors plus the explicit
-    # insertion-order list that mirrors the dict-order semantics of the
-    # kernel walk (drop victims and resync sums both follow it).
+    # insertion-order list that mirrors the dict order of PacketMapping
+    # (drop victims and resync sums both follow it).
     assign = [-1] * n_ready
     occ = [-1] * n_idle
     order: List[int] = []
@@ -159,8 +163,8 @@ def _array_walk(
     degenerate = n_ready == 0 or n_idle == 0
 
     def full_cost() -> float:
-        # Mirrors the kernel walk's resync sum: insertion-order accumulation
-        # starting from the integer 0, negated afterwards.
+        # Mirrors PacketKernel.total_cost: insertion-order sums, the balance
+        # one starting from the integer 0 and negated afterwards.
         acc = 0
         for i in order:
             acc = acc + brows[i][assign[i]]
@@ -181,9 +185,9 @@ def _array_walk(
         raise ValueError(f"initial temperature must be > 0, got {t0}")
 
     # Pre-drawn blocks: raw 64-bit outputs pulled in bulk and converted
-    # vectorized into the doubles and 32-bit halves StreamDraws would have
-    # produced scalar call by scalar call.  A pending buffered half-word in
-    # the generator's state is honoured, like StreamDraws does.
+    # vectorized into the doubles and 32-bit halves numpy's scalar random()
+    # and integers() would make of them call by call.  A half-word the
+    # generator's state holds buffered is the first half drawn, as in numpy.
     bitgen = rng.bit_generator
     gstate = bitgen.state
     half = int(gstate["uinteger"]) if gstate.get("has_uint32") else None
@@ -211,7 +215,7 @@ def _array_walk(
             )
             pos = 0
         for _ in range(moves):
-            # ---- propose (kernel-walk logic over flat state) -------------- #
+            # ---- propose (moves.propose_move over flat state) ------------- #
             # move kinds: 0 zero-delta, 1 drop, 2 (re)assign, 3 replace, 4 swap
             kind = 0
             delta = 0.0
@@ -363,8 +367,8 @@ def _array_walk(
                 accepted = dbl[pos] < probability
                 pos += 1
             if accepted:
-                # Apply in place, reproducing the dict-insertion order the
-                # kernel walk's t2p mutations would leave.
+                # Apply in place, reproducing the dict-insertion order
+                # PacketMapping's assign/unassign/swap would leave.
                 if kind == 1:
                     assign[task] = -1
                     occ[old_j] = -1
@@ -727,16 +731,17 @@ def anneal_array(
 ) -> AnnealingResult:
     """Single-chain annealing walk over flat array state.
 
-    Drop-in replacement for ``_anneal_indexed`` (same signature, bit-identical
-    result for a fixed seed); requires the sigmoid acceptance rule — the
-    caller dispatches other rules to the kernel walk.  Drives one resumable
-    walk with ``annealer.stopping``, which sees every temperature step's
-    ``(step, cost)``: :func:`_single_idle_walk` when the packet has one idle
-    processor and a ready task, :func:`_array_walk` otherwise (same result
-    either way).  *kernel* may also be a :class:`OneSlotPacket`, walked by
-    :func:`_one_slot_walk`; *problem* is then the start, the task index on
-    the processor or ``-1``.  See the module docstring for the draw-block
-    and insertion-order machinery.
+    The compiled single chain: for a fixed seed, the same result as
+    :meth:`Annealer.run <repro.annealing.annealer.Annealer.run>` over
+    *problem*, bit for bit, under the sigmoid acceptance rule it requires
+    (callers run other rules through ``Annealer.run``).  Drives one
+    resumable walk with ``annealer.stopping``, which sees every temperature
+    step's ``(step, cost)``: :func:`_single_idle_walk` when the packet has
+    one idle processor and a ready task, :func:`_array_walk` otherwise (same
+    result either way).  *kernel* may also be a :class:`OneSlotPacket`,
+    walked by :func:`_one_slot_walk`; *problem* is then the start, the task
+    index on the processor or ``-1``.  See the module docstring for the
+    draw-block and insertion-order machinery.
 
     The walk draws raw words a block ahead of its reads, so *rng* ends up
     to one block past the last word the walk used.  No caller in the
@@ -798,20 +803,16 @@ def anneal_replicas_scalar(
 
     Defines the lane contract — :func:`anneal_replicas_batched` must return
     exactly these results — and serves as its fallback for the
-    configurations the stepped lanes do not cover: non-sigmoid
-    acceptance (run through the kernel walk) and stopping rules other than
-    the canonical stall + maximum-steps pair.  Per-temperature trajectories
-    are not collected on this path.
+    configurations the stepped lanes do not cover: non-sigmoid acceptance
+    (one :meth:`Annealer.run <repro.annealing.annealer.Annealer.run>` per
+    child) and stopping rules other than the canonical stall + maximum-steps
+    pair.  Per-temperature trajectories are not collected on this path.
     """
     sigmoid = type(annealer.acceptance) is BoltzmannSigmoidAcceptance
-    results = []
-    for r in rngs:
-        if sigmoid:
-            results.append(anneal_array(kernel, problem, annealer, r))
-        else:
-            from repro.core.packet_annealer import _anneal_indexed
-
-            results.append(_anneal_indexed(kernel, problem, annealer, r))
+    results = [
+        anneal_array(kernel, problem, annealer, r) if sigmoid else annealer.run(problem, seed=r)
+        for r in rngs
+    ]
     return results, [[] for _ in results]
 
 

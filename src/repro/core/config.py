@@ -20,7 +20,6 @@ from repro.utils.rng import SeedLike
 __all__ = ["SAConfig"]
 
 _INIT_CHOICES = ("hlf", "random", "empty")
-_WALK_CHOICES = ("array", "kernel")
 
 
 @dataclass
@@ -64,17 +63,11 @@ class SAConfig:
         Figure-1 reproduction; off by default to keep memory small).
     compiled:
         Anneal over the precompiled packet kernel (dense cost tables; the
-        default).  ``False`` selects the original per-call cost evaluation —
+        default) with the array walks of :mod:`repro.core.array_annealer`,
+        or with the generic loop for acceptance rules other than the sigmoid.
+        ``False`` selects the original per-call cost evaluation —
         bit-identical results, kept as the reference for equivalence tests
         and as an escape hatch for exotic cost models.
-    walk:
-        Which compiled walk drives the inner loop: ``"array"`` (default) —
-        the array-native walk of :mod:`repro.core.array_annealer` (flat
-        index state, pre-drawn per-temperature draw blocks); ``"kernel"`` —
-        the PR-1 fused dict walk, kept as the differential oracle.  Both are
-        bit-identical for a fixed seed; non-sigmoid acceptance rules fall
-        back to the kernel walk automatically.  Ignored when
-        ``compiled=False``.
     replicas:
         Number of independent annealing replicas per packet (multi-start
         chains).  ``1`` (default) is the single-chain walk; ``B > 1`` runs B
@@ -106,7 +99,6 @@ class SAConfig:
     seed: SeedLike = None
     record_trajectories: bool = False
     compiled: bool = True
-    walk: str = "array"
     replicas: int = 1
     portfolio: Optional[Union[int, PortfolioConfig]] = None
 
@@ -141,10 +133,6 @@ class SAConfig:
             raise ConfigurationError(
                 f"initial_mapping must be one of {_INIT_CHOICES}, got {self.initial_mapping!r}"
             )
-        if self.walk not in _WALK_CHOICES:
-            raise ConfigurationError(
-                f"walk must be one of {_WALK_CHOICES}, got {self.walk!r}"
-            )
         if self.replicas < 1:
             raise ConfigurationError(
                 f"replicas must be >= 1, got {self.replicas}"
@@ -167,11 +155,11 @@ class SAConfig:
                     "portfolio mode requires the sigmoid acceptance rule "
                     "(the array walk inlines only that rule)"
                 )
-            if not self.compiled or self.walk != "array":
+            if not self.compiled:
                 raise ConfigurationError(
-                    "portfolio mode requires compiled=True and walk='array' "
-                    "(only the array walk pauses between temperature steps "
-                    "for the racing controller)"
+                    "portfolio mode requires compiled=True (only the array "
+                    "walk pauses between temperature steps for the racing "
+                    "controller)"
                 )
 
     def moves_for_packet(self, n_ready: int, n_idle: int) -> int:

@@ -32,9 +32,8 @@ the fast engine's front end
 full-width row and total the first epoch it is ready and hands the
 per-packet slices to :meth:`PacketKernel.from_tables`.  An epoch with one
 idle processor is handed off only when a path needs a kernel (replica and
-portfolio lanes, the kernel walk, non-sigmoid rules); the single chain
-anneals its two columns without one
-(:class:`~repro.core.array_annealer.OneSlotPacket`).
+portfolio lanes, non-sigmoid rules); the single chain anneals its two
+columns without one (:class:`~repro.core.array_annealer.OneSlotPacket`).
 
 The kernel also exposes the packet in *index space* (ready task *i* stands
 for ``tasks[i]``, idle processor *j* for ``procs[j]``): the annealer runs its

@@ -7,27 +7,32 @@ move generator (:func:`~repro.core.moves.propose_move`) and cost function
 balance / communication / total cost trajectory that Figure 1 of the paper
 plots.
 
-When the configuration's ``compiled`` flag is set (the default), the walk
-runs in the *index space* of the packet's compiled
-:class:`~repro.core.kernel.PacketKernel`: ready tasks and idle processors are
-renumbered as dense integers, every move is scored by table lookup, and the
-winning mapping is translated back to task/processor identifiers at the end.
-The kernel reproduces the reference evaluation bit for bit, so compiled and
-uncompiled runs accept exactly the same moves for a fixed seed.
+:class:`PacketAnnealer` has two paths.  The reference path runs the generic
+loop, over ``comm_model.cost()`` calls when the configuration's ``compiled``
+flag is off and over the packet's compiled
+:class:`~repro.core.kernel.PacketKernel` when it records a trajectory.  Every
+other anneal enters :meth:`PacketAnnealer.anneal_compiled` and runs in the
+kernel's *index space*: ready tasks and idle processors are renumbered as
+dense integers, every move is scored by table lookup, the walks of
+:mod:`repro.core.array_annealer` anneal the single chain and the replica or
+portfolio lanes, and the winning mapping is translated back to
+task/processor identifiers at the end.  The kernel and the walks reproduce
+the reference evaluation bit for bit, so both paths accept exactly the same
+moves for a fixed seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 import heapq
-import math
 
 import numpy as np
 
 from repro.annealing.acceptance import BoltzmannSigmoidAcceptance
-from repro.annealing.annealer import Annealer, AnnealingResult
+from repro.annealing.annealer import Annealer
 from repro.annealing.portfolio import (
     LanePlan,
     PortfolioReport,
@@ -41,9 +46,9 @@ from repro.core.array_annealer import OneSlotPacket, anneal_array, anneal_replic
 from repro.core.config import SAConfig
 from repro.core.cost import CostBreakdown, PacketCostFunction
 from repro.core.kernel import PacketKernel
-from repro.core.moves import _DROP_PROBABILITY, propose_move
+from repro.core.moves import propose_move
 from repro.core.packet import AnnealingPacket, PacketMapping
-from repro.utils.rng import StreamDraws, as_rng, split
+from repro.utils.rng import as_rng, split
 
 __all__ = [
     "PacketMappingProblem",
@@ -104,204 +109,6 @@ class PacketAnnealingOutcome:
     def improvement(self) -> float:
         """Cost decrease relative to the seed mapping (non-negative with elitism)."""
         return self.initial_cost - self.best_cost
-
-
-def _anneal_indexed(
-    kernel: PacketKernel,
-    problem: "PacketMappingProblem",
-    annealer: Annealer,
-    rng,
-) -> AnnealingResult:
-    """Fused annealing loop over the kernel's index space.
-
-    Replicates :meth:`~repro.annealing.annealer.Annealer.run` with the move
-    generator, incremental cost and (sigmoid) acceptance rule inlined over the
-    kernel's dense tables, drawing randomness through
-    :class:`~repro.utils.rng.StreamDraws`.  Every stochastic decision consumes
-    the generator's stream exactly as the generic loop does, so for a fixed
-    seed this produces bit-identical results — only faster (no per-proposal
-    mapping copies, no scalar numpy RNG calls, no method dispatch).
-    """
-    acceptance = annealer.acceptance
-    cooling = annealer.cooling
-    stopping = annealer.stopping
-    moves_per_temperature = annealer.moves_per_temperature
-
-    state0 = problem.initial_state(rng)
-    t2p: Dict[int, int] = dict(state0.task_to_proc)
-    p2t: Dict[int, int] = dict(state0.proc_to_task)
-
-    brows = kernel.balance_rows
-    rows = kernel.comm_rows
-    wb, wc = kernel.weight_balance, kernel.weight_comm
-    br, cr = kernel.balance_range, kernel.comm_range
-    n_ready, n_idle = kernel.n_ready, kernel.n_idle
-    comm_enabled = kernel.comm_enabled
-    degenerate = n_ready == 0 or n_idle == 0
-
-    def full_cost() -> float:
-        # Mirrors PacketKernel.total_cost term for term.
-        fb = -sum(brows[i][j] for i, j in t2p.items())
-        fc = 0.0
-        if comm_enabled:
-            for i, j in t2p.items():
-                fc += rows[i][j]
-        return wc * fc / cr + wb * fb / br
-
-    cost = full_cost()
-    best_map = dict(t2p)
-    best_cost = cost
-
-    t0 = (
-        annealer.initial_temperature
-        if annealer.initial_temperature is not None
-        else problem.initial_temperature(rng)
-    )
-    if t0 <= 0:
-        raise ValueError(f"initial temperature must be > 0, got {t0}")
-
-    stopping.reset()
-    draws = StreamDraws(rng)
-    sigmoid = type(acceptance) is BoltzmannSigmoidAcceptance
-    exp = math.exp
-    n_proposals = 0
-    n_accepted = 0
-    outer = 0
-    while True:
-        temperature = cooling.temperature(outer, t0)
-        if sigmoid:
-            if temperature < 0:
-                raise ValueError(f"temperature must be >= 0, got {temperature}")
-            zero_temp = temperature == 0.0
-            infinite_temp = math.isinf(temperature)
-        for _ in range(moves_per_temperature):
-            # ---- propose: moves.propose_move inlined in index space ------- #
-            # move kinds: 0 zero-delta, 1 drop, 2 (re)assign, 3 replace, 4 swap
-            kind = 0
-            delta = 0.0
-            if not degenerate:
-                if t2p and draws.random() < _DROP_PROBABILITY:
-                    tasks = list(t2p)
-                    task = tasks[draws.integers(0, len(tasks))]
-                    old_j = t2p[task]
-                    kind = 1
-                    balance_delta = 0.0 + brows[task][old_j]
-                    comm_delta = 0.0 - rows[task][old_j]
-                    delta = wc * comm_delta / cr + wb * balance_delta / br
-                else:
-                    task = draws.integers(0, n_ready)
-                    cur = t2p.get(task)
-                    if cur is None:
-                        new_j = draws.integers(0, n_idle)
-                    elif n_idle == 1:
-                        new_j = None  # nowhere else to go: zero-delta proposal
-                    else:
-                        idx = draws.integers(0, n_idle - 1)
-                        if idx >= cur:
-                            idx += 1
-                        new_j = idx
-                    if new_j is not None:
-                        brow = brows[task]
-                        row = rows[task]
-                        occupant = p2t.get(new_j)
-                        if occupant is None:
-                            kind = 2
-                            if cur is not None:
-                                balance_delta = 0.0 + brow[cur]
-                                comm_delta = 0.0 - row[cur]
-                            else:
-                                balance_delta = 0.0
-                                comm_delta = 0.0
-                            balance_delta -= brow[new_j]
-                            comm_delta += row[new_j]
-                        elif cur is None:
-                            kind = 3
-                            balance_delta = 0.0 + brows[occupant][new_j]
-                            comm_delta = 0.0 - rows[occupant][new_j]
-                            balance_delta -= brow[new_j]
-                            comm_delta += row[new_j]
-                        else:
-                            kind = 4
-                            balance_delta = 0.0 + brow[cur]
-                            comm_delta = 0.0 - row[cur]
-                            balance_delta -= brow[new_j]
-                            comm_delta += row[new_j]
-                            occ_brow = brows[occupant]
-                            occ_row = rows[occupant]
-                            balance_delta += occ_brow[new_j]
-                            comm_delta -= occ_row[new_j]
-                            balance_delta -= occ_brow[cur]
-                            comm_delta += occ_row[cur]
-                        delta = wc * comm_delta / cr + wb * balance_delta / br
-            # ---- accept: BoltzmannSigmoidAcceptance inlined --------------- #
-            n_proposals += 1
-            if sigmoid:
-                if zero_temp:
-                    probability = 1.0 if delta < 0.0 else 0.0
-                elif infinite_temp:
-                    probability = 0.5
-                else:
-                    exponent = delta / temperature
-                    if exponent > 500.0:
-                        probability = 0.0
-                    elif exponent < -500.0:
-                        probability = 1.0
-                    else:
-                        probability = 1.0 / (1.0 + exp(exponent))
-                if probability >= 1.0:
-                    accepted = True
-                elif probability <= 0.0:
-                    accepted = False
-                else:
-                    accepted = draws.random() < probability
-            else:
-                accepted = acceptance.accept(delta, temperature, draws)
-            if accepted:
-                # Apply the move in place, reproducing the dict-insertion
-                # order PacketMapping's assign/unassign/swap would leave.
-                if kind == 1:
-                    del t2p[task]
-                    del p2t[old_j]
-                elif kind == 2:
-                    if cur is not None:
-                        del t2p[task]
-                        del p2t[cur]
-                    t2p[task] = new_j
-                    p2t[new_j] = task
-                elif kind == 3:
-                    del t2p[occupant]
-                    t2p[task] = new_j
-                    p2t[new_j] = task
-                elif kind == 4:
-                    t2p[task] = new_j
-                    t2p[occupant] = cur
-                    p2t[new_j] = task
-                    p2t[cur] = occupant
-                n_accepted += 1
-                cost = cost + delta
-                if cost < best_cost:
-                    best_cost = cost
-                    best_map = dict(t2p)
-        # Per-temperature resynchronization against incremental-cost drift
-        # (mirrors Annealer.run).
-        resynced = full_cost()
-        if abs(resynced - cost) > annealer.resync_tolerance:
-            cost = resynced
-        if stopping.should_stop(outer, cost):
-            outer += 1
-            break
-        outer += 1
-
-    return AnnealingResult(
-        best_state=PacketMapping(best_map),
-        best_cost=best_cost,
-        final_state=PacketMapping(t2p),
-        final_cost=cost,
-        n_iterations=outer,
-        n_proposals=n_proposals,
-        n_accepted=n_accepted,
-        trajectory=[],
-    )
 
 
 def _kernel_breakdown(kernel: PacketKernel, mapping: PacketMapping) -> CostBreakdown:
@@ -455,20 +262,6 @@ class PacketAnnealer:
             record_trajectory=False,
         )
 
-    def _walks_arrays(self) -> bool:
-        """Whether the compiled walk is the array tier: the configured default,
-        with the sigmoid acceptance rule the array walk inlines."""
-        cfg = self.config
-        return cfg.walk == "array" and type(cfg.acceptance) is BoltzmannSigmoidAcceptance
-
-    def _fused_walk(self, kernel: PacketKernel, problem, annealer: Annealer, rng) -> AnnealingResult:
-        """The compiled inner walk: array tier by default, kernel tier as the
-        configured alternative (and the automatic fallback for non-sigmoid
-        acceptance rules, which the array walk does not inline)."""
-        if self._walks_arrays():
-            return anneal_array(kernel, problem, annealer, rng)
-        return _anneal_indexed(kernel, problem, annealer, rng)
-
     def anneal(
         self,
         packet: AnnealingPacket,
@@ -479,6 +272,14 @@ class PacketAnnealer:
         seed_assignments: Optional[Dict[str, Dict[TaskId, ProcId]]] = None,
     ) -> PacketAnnealingOutcome:
         """Run simulated annealing on *packet* and return the best mapping found.
+
+        A compiled packet that records no trajectory goes to
+        :meth:`anneal_compiled` with its cost function's kernel, and so does
+        a portfolio with something to place, which races its lanes even when
+        recording.  Everything else is the reference path: one
+        :meth:`Annealer.run <repro.annealing.annealer.Annealer.run>` per
+        chain (one per replica child), over ``comm_model.cost()`` calls for
+        ``compiled=False`` or over the kernel.
 
         Parameters
         ----------
@@ -502,19 +303,6 @@ class PacketAnnealer:
         cfg = self.config
         rng = as_rng(rng)
         record = cfg.record_trajectories if record_trajectory is None else record_trajectory
-        if cfg.replicas > 1:
-            return self._anneal_replicated(packet, machine, comm_model, rng, record)
-        if cfg.portfolio is not None and packet.n_ready and packet.n_idle:
-            cost_fn = PacketCostFunction(
-                packet,
-                machine,
-                comm_model=comm_model,
-                weight_balance=cfg.weight_balance,
-                weight_comm=cfg.weight_comm,
-                compiled=True,
-            )
-            return self._anneal_portfolio(packet, cost_fn.kernel, rng, seed_assignments)
-
         cost_fn = PacketCostFunction(
             packet,
             machine,
@@ -524,62 +312,92 @@ class PacketAnnealer:
             compiled=cfg.compiled,
         )
         kernel = cost_fn.kernel
+        racing = cfg.portfolio is not None and packet.n_ready and packet.n_idle
+        if kernel is not None and (racing or not record):
+            return self.anneal_compiled(kernel, rng, seed_assignments)
         if kernel is not None:
-            # Fast path: anneal in index space over the compiled tables.
             problem = PacketMappingProblem(
                 kernel.index_packet(), kernel, initial_mapping=cfg.initial_mapping
             )
         else:
             problem = PacketMappingProblem(packet, cost_fn, initial_mapping=cfg.initial_mapping)
-
-        # Evaluate the seed mapping once so the outcome can report the
-        # improvement achieved by annealing.  The seed is recomputed inside the
-        # annealer with the same rng stream for the "random" strategy, so a
-        # dedicated child generator keeps both draws identical.
-        seed_rng, run_rng = _split_rng(rng)
-        initial_mapping = problem.initial_state(seed_rng)
-        initial_cost = problem.cost(initial_mapping)
-
-        trajectory: List[TrajectoryPoint] = []
-        callback = None
-        if record:
-
-            def callback(rec, state) -> None:
-                if kernel is not None:
-                    parts = _kernel_breakdown(kernel, state)
-                else:
-                    parts = cost_fn.breakdown(state)
-                trajectory.append(
-                    TrajectoryPoint(
-                        iteration=rec.iteration,
-                        temperature=rec.temperature,
-                        balance_cost=parts.balance,
-                        communication_cost=parts.communication,
-                        total_cost=parts.total,
-                        accepted=rec.accepted,
-                    )
-                )
-
         annealer = self._build_annealer(packet)
-        if kernel is not None and callback is None:
-            # Fused fast path: same walk, same RNG stream, no per-proposal
-            # copies or scalar numpy draws.
-            result = self._fused_walk(kernel, problem, annealer, as_rng(run_rng))
-        else:
-            result = annealer.run(problem, seed=run_rng, callback=callback)
+        if cfg.replicas == 1:
+            return self._chain(problem, annealer, rng, kernel, record)
+        chains = [
+            self._chain(problem, annealer, child, kernel, record)
+            for child in split(rng, cfg.replicas)
+        ]
+        best = best_replica_index([o.best_cost for o in chains])
+        return replace(
+            chains[best],
+            n_proposals=sum(o.n_proposals for o in chains),
+            n_accepted=sum(o.n_accepted for o in chains),
+            best_replica=best,
+            replica_stats=[
+                ReplicaStats(
+                    replica=b,
+                    best_cost=o.best_cost,
+                    initial_cost=o.initial_cost,
+                    final_cost=None,
+                    n_proposals=o.n_proposals,
+                    n_accepted=o.n_accepted,
+                    n_temperature_steps=o.n_temperature_steps,
+                )
+                for b, o in enumerate(chains)
+            ],
+        )
 
-        best_mapping: PacketMapping = result.best_state
-        if kernel is not None:
-            assignment = kernel.assignment_to_ids(best_mapping)
-            breakdown = _kernel_breakdown(kernel, best_mapping)
+    def _chain(
+        self,
+        problem: PacketMappingProblem,
+        annealer: Annealer,
+        rng,
+        kernel: Optional[PacketKernel],
+        record: bool = False,
+    ) -> PacketAnnealingOutcome:
+        """One chain on *rng*: :func:`_split_rng`'s seed twin costs the seed
+        mapping (so the outcome can report the improvement; ``"random"``
+        seeds draw it again from the run twin), the run twin drives the walk.
+
+        Over a *kernel* with the sigmoid rule and no trajectory, the walk is
+        :func:`~repro.core.array_annealer.anneal_array`; otherwise it is
+        :meth:`Annealer.run <repro.annealing.annealer.Annealer.run>`, whose
+        callback records the trajectory when *record* is set.
+        """
+        seed_rng, run_rng = _split_rng(rng)
+        initial_cost = problem.cost(problem.initial_state(seed_rng))
+        if kernel is None:
+            breakdown = problem.cost_function.breakdown
         else:
-            assignment = best_mapping.as_dict()
-            breakdown = cost_fn.breakdown(best_mapping)
+            breakdown = partial(_kernel_breakdown, kernel)
+        trajectory: List[TrajectoryPoint] = []
+        if kernel is not None and not record and _sigmoid(annealer.acceptance):
+            result = anneal_array(kernel, problem, annealer, run_rng)
+        else:
+            callback = None
+            if record:
+
+                def callback(rec, state) -> None:
+                    parts = breakdown(state)
+                    trajectory.append(
+                        TrajectoryPoint(
+                            iteration=rec.iteration,
+                            temperature=rec.temperature,
+                            balance_cost=parts.balance,
+                            communication_cost=parts.communication,
+                            total_cost=parts.total,
+                            accepted=rec.accepted,
+                        )
+                    )
+
+            result = annealer.run(problem, seed=run_rng, callback=callback)
+        best = result.best_state
         return PacketAnnealingOutcome(
-            assignment=assignment,
+            assignment=best.as_dict() if kernel is None else kernel.assignment_to_ids(best),
             best_cost=result.best_cost,
             initial_cost=initial_cost,
-            breakdown=breakdown,
+            breakdown=breakdown(best),
             n_proposals=result.n_proposals,
             n_accepted=result.n_accepted,
             n_temperature_steps=result.n_iterations,
@@ -587,57 +405,46 @@ class PacketAnnealer:
         )
 
     # ------------------------------------------------------------------ #
-    # Prebuilt-kernel entry (the fast-engine path)
+    # The compiled entry (both engines)
     # ------------------------------------------------------------------ #
     def anneal_compiled(
         self,
         kernel: Union[PacketKernel, OneSlotPacket],
         rng=None,
-        seed_assignments: Optional[Dict[TaskId, Dict[TaskId, ProcId]]] = None,
+        seed_assignments: Optional[Dict[str, Dict[TaskId, ProcId]]] = None,
     ) -> PacketAnnealingOutcome:
-        """Anneal over a prebuilt kernel or one-slot lowering (no trajectory recording).
+        """Anneal over a compiled kernel or one-slot lowering (no trajectory recording).
 
-        The entry point of :meth:`SAScheduler.fast_assign
-        <repro.core.sa_scheduler.SAScheduler.fast_assign>`: the caller
-        already lowered the epoch
-        (:func:`repro.core.array_annealer.compile_fast_packet`), so this
-        skips the :class:`~repro.core.cost.PacketCostFunction` build and runs
-        the same split-rng / seed-cost / fused-walk sequence as
-        :meth:`anneal` — bit-identical outcomes when the tables are.  A
-        :class:`~repro.core.array_annealer.OneSlotPacket` is annealed
-        directly on the single-chain array walk (:meth:`_anneal_one_slot`);
-        replica and portfolio lanes, ``walk="kernel"`` and non-sigmoid rules
-        anneal over its :meth:`~repro.core.array_annealer.OneSlotPacket.kernel`.
+        Every compiled anneal that records no trajectory enters here: from
+        :meth:`anneal` with its cost function's kernel, and from
+        :meth:`SAScheduler.fast_assign
+        <repro.core.sa_scheduler.SAScheduler.fast_assign>` with the epoch it
+        lowered (:func:`repro.core.array_annealer.compile_fast_packet`), so
+        both engines commit bit-identical outcomes when the tables are.
+        Replicas, and a portfolio on a packet with something to place, step
+        lanes (:meth:`_anneal_lanes`).  A single chain runs
+        :func:`~repro.core.array_annealer.anneal_array` under the sigmoid
+        rule — on a :class:`~repro.core.array_annealer.OneSlotPacket`
+        directly (:meth:`_anneal_one_slot`) — and :meth:`Annealer.run
+        <repro.annealing.annealer.Annealer.run>` over the kernel under any
+        other.  Lanes and other rules anneal a one-slot lowering over its
+        :meth:`~repro.core.array_annealer.OneSlotPacket.kernel`.
         """
         cfg = self.config
         rng = as_rng(rng)
+        lanes = cfg.replicas > 1 or (
+            cfg.portfolio is not None and kernel.n_ready and kernel.n_idle
+        )
         if isinstance(kernel, OneSlotPacket):
-            if cfg.replicas == 1 and cfg.portfolio is None and self._walks_arrays():
+            if not lanes and _sigmoid(cfg.acceptance):
                 return self._anneal_one_slot(kernel, rng)
             kernel = kernel.kernel()
-        packet = kernel.packet
-        if cfg.replicas > 1:
-            return self._anneal_compiled_replicas(packet, kernel, split(rng, cfg.replicas))
-        if cfg.portfolio is not None and kernel.n_ready and kernel.n_idle:
-            return self._anneal_portfolio(packet, kernel, rng, seed_assignments)
+        if lanes:
+            return self._anneal_lanes(kernel, rng, seed_assignments)
         problem = PacketMappingProblem(
             kernel.index_packet(), kernel, initial_mapping=cfg.initial_mapping
         )
-        annealer = self._build_annealer(packet)
-        seed_rng, run_rng = _split_rng(rng)
-        initial_cost = problem.cost(problem.initial_state(seed_rng))
-        result = self._fused_walk(kernel, problem, annealer, as_rng(run_rng))
-        best_mapping = result.best_state
-        return PacketAnnealingOutcome(
-            assignment=kernel.assignment_to_ids(best_mapping),
-            best_cost=result.best_cost,
-            initial_cost=initial_cost,
-            breakdown=_kernel_breakdown(kernel, best_mapping),
-            n_proposals=result.n_proposals,
-            n_accepted=result.n_accepted,
-            n_temperature_steps=result.n_iterations,
-            trajectory=[],
-        )
+        return self._chain(problem, self._build_annealer(kernel.packet), rng, kernel)
 
     def _anneal_one_slot(self, slot: OneSlotPacket, rng) -> PacketAnnealingOutcome:
         """The single chain over a one-slot lowering, with no kernel or problem.
@@ -669,122 +476,7 @@ class PacketAnnealer:
         )
 
     # ------------------------------------------------------------------ #
-    # Batched multi-replica annealing
-    # ------------------------------------------------------------------ #
-    def _anneal_replicated(
-        self,
-        packet: AnnealingPacket,
-        machine,
-        comm_model,
-        rng,
-        record: bool,
-    ) -> PacketAnnealingOutcome:
-        """Anneal ``cfg.replicas`` multi-start chains and commit the best.
-
-        Compiled, non-recording configurations step the replicas as lanes
-        over one shared kernel; the reference path and trajectory-recording
-        runs fall back to one full scalar anneal per child stream (same
-        children, same per-replica results, no per-step lane trajectories).
-        """
-        cfg = self.config
-        children = split(rng, cfg.replicas)
-        if cfg.compiled and not record:
-            cost_fn = PacketCostFunction(
-                packet,
-                machine,
-                comm_model=comm_model,
-                weight_balance=cfg.weight_balance,
-                weight_comm=cfg.weight_comm,
-                compiled=True,
-            )
-            return self._anneal_compiled_replicas(packet, cost_fn.kernel, children)
-        single = PacketAnnealer(replace(cfg, replicas=1))
-        outcomes = [
-            single.anneal(
-                packet, machine, comm_model=comm_model, rng=child, record_trajectory=record
-            )
-            for child in children
-        ]
-        stats = [
-            ReplicaStats(
-                replica=b,
-                best_cost=o.best_cost,
-                initial_cost=o.initial_cost,
-                final_cost=None,
-                n_proposals=o.n_proposals,
-                n_accepted=o.n_accepted,
-                n_temperature_steps=o.n_temperature_steps,
-            )
-            for b, o in enumerate(outcomes)
-        ]
-        best = best_replica_index([o.best_cost for o in outcomes])
-        winner = outcomes[best]
-        return PacketAnnealingOutcome(
-            assignment=winner.assignment,
-            best_cost=winner.best_cost,
-            initial_cost=winner.initial_cost,
-            breakdown=winner.breakdown,
-            n_proposals=sum(o.n_proposals for o in outcomes),
-            n_accepted=sum(o.n_accepted for o in outcomes),
-            n_temperature_steps=winner.n_temperature_steps,
-            trajectory=winner.trajectory,
-            best_replica=best,
-            replica_stats=stats,
-        )
-
-    def _anneal_compiled_replicas(
-        self,
-        packet: AnnealingPacket,
-        kernel: PacketKernel,
-        children,
-    ) -> PacketAnnealingOutcome:
-        """Replicas stepped as lanes over one shared kernel (the hot path)."""
-        cfg = self.config
-        problem = PacketMappingProblem(
-            kernel.index_packet(), kernel, initial_mapping=cfg.initial_mapping
-        )
-        annealer = self._build_annealer(packet)
-        run_rngs = []
-        initial_costs = []
-        for child in children:
-            seed_rng, run_rng = _split_rng(child)
-            initial_costs.append(problem.cost(problem.initial_state(seed_rng)))
-            run_rngs.append(as_rng(run_rng))
-        if cfg.walk == "array":
-            results, trajs = anneal_replicas_batched(kernel, problem, annealer, run_rngs)
-        else:
-            # Kernel-walk oracle: one scalar fused walk per replica.
-            results = [_anneal_indexed(kernel, problem, annealer, r) for r in run_rngs]
-            trajs = [[] for _ in results]
-        stats = [
-            ReplicaStats(
-                replica=b,
-                best_cost=results[b].best_cost,
-                initial_cost=initial_costs[b],
-                final_cost=results[b].final_cost,
-                n_proposals=results[b].n_proposals,
-                n_accepted=results[b].n_accepted,
-                n_temperature_steps=results[b].n_iterations,
-                temperature_trajectory=tuple(trajs[b]),
-            )
-            for b in range(len(results))
-        ]
-        best = best_replica_index([r.best_cost for r in results])
-        winner = results[best]
-        return PacketAnnealingOutcome(
-            assignment=kernel.assignment_to_ids(winner.best_state),
-            best_cost=winner.best_cost,
-            initial_cost=initial_costs[best],
-            breakdown=_kernel_breakdown(kernel, winner.best_state),
-            n_proposals=sum(r.n_proposals for r in results),
-            n_accepted=sum(r.n_accepted for r in results),
-            n_temperature_steps=winner.n_iterations,
-            best_replica=best,
-            replica_stats=stats,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Anytime lane portfolio with successive-halving racing
+    # Replica lanes and the anytime portfolio's racing lanes
     # ------------------------------------------------------------------ #
     def build_lane_plan(
         self,
@@ -828,66 +520,77 @@ class PacketAnnealer:
             specs=specs,
         )
 
-    def _anneal_portfolio(
+    def _anneal_lanes(
         self,
-        packet: AnnealingPacket,
         kernel: PacketKernel,
         rng,
         seed_assignments: Optional[Dict[str, Dict[TaskId, ProcId]]] = None,
     ) -> PacketAnnealingOutcome:
-        """Race ``cfg.portfolio.lanes`` heterogeneous chains, commit the champion.
+        """Step ``cfg.replicas`` chains, or race the portfolio's lanes, over
+        one kernel and commit the lowest best cost (ties to the lowest lane).
 
-        Same split-rng discipline as :meth:`_anneal_compiled_replicas` — one
-        child stream per lane, a twin seed generator for the initial cost —
-        so lane *b* is bit-identical to a scalar run of its own
-        configuration on child *b*, culled or not.
+        One :func:`~repro.utils.rng.split` child per lane, split again by
+        :func:`_split_rng`: the seed twin costs the lane's seed mapping and
+        the run twin drives its walk in
+        :func:`~repro.core.array_annealer.anneal_replicas_batched` (under the
+        portfolio's :meth:`build_lane_plan`).  Lane *b* is therefore
+        bit-identical to a single chain of its own configuration on child
+        *b*, culled or not.
         """
         cfg = self.config
-        plan = self.build_lane_plan(kernel, seed_assignments)
-        annealer = self._build_annealer(packet)
-        children = split(rng, cfg.portfolio.lanes)
+        plan = None
+        if cfg.portfolio is not None:
+            plan = self.build_lane_plan(kernel, seed_assignments)
+            problems = plan.problems
+        else:
+            problems = [
+                PacketMappingProblem(
+                    kernel.index_packet(), kernel, initial_mapping=cfg.initial_mapping
+                )
+            ] * cfg.replicas
         run_rngs = []
         initial_costs = []
-        for b, child in enumerate(children):
+        for problem, child in zip(problems, split(rng, len(problems))):
             seed_rng, run_rng = _split_rng(child)
-            initial_costs.append(
-                plan.problems[b].cost(plan.problems[b].initial_state(seed_rng))
-            )
-            run_rngs.append(as_rng(run_rng))
+            initial_costs.append(problem.cost(problem.initial_state(seed_rng)))
+            run_rngs.append(run_rng)
         results, trajs = anneal_replicas_batched(
-            kernel, plan.problems[0], annealer, run_rngs, plan=plan
+            kernel, problems[0], self._build_annealer(kernel.packet), run_rngs, plan=plan
         )
-        controller = plan.controller
         culled = set()
-        for rung in controller.rungs:
-            culled.update(rung.culled)
+        if plan is not None:
+            for rung in plan.controller.rungs:
+                culled.update(rung.culled)
         stats = [
             ReplicaStats(
                 replica=b,
-                best_cost=results[b].best_cost,
+                best_cost=r.best_cost,
                 initial_cost=initial_costs[b],
-                final_cost=results[b].final_cost,
-                n_proposals=results[b].n_proposals,
-                n_accepted=results[b].n_accepted,
-                n_temperature_steps=results[b].n_iterations,
+                final_cost=r.final_cost,
+                n_proposals=r.n_proposals,
+                n_accepted=r.n_accepted,
+                n_temperature_steps=r.n_iterations,
                 temperature_trajectory=tuple(trajs[b]),
                 culled=b in culled,
-                budget=int(plan.budgets[b]),
+                budget=None if plan is None else int(plan.budgets[b]),
             )
-            for b in range(len(results))
+            for b, r in enumerate(results)
         ]
         best = best_replica_index([r.best_cost for r in results])
         winner = results[best]
-        report = PortfolioReport(
-            specs=plan.specs,
-            rungs=tuple(controller.rungs),
-            champion=best,
-            champion_cost=winner.best_cost,
-            n_culled=controller.n_culled,
-            budget_reallocated=controller.budget_reallocated,
-            final_budgets=tuple(int(x) for x in plan.budgets),
-            n_steps=tuple(r.n_iterations for r in results),
-        )
+        report = None
+        if plan is not None:
+            controller = plan.controller
+            report = PortfolioReport(
+                specs=plan.specs,
+                rungs=tuple(controller.rungs),
+                champion=best,
+                champion_cost=winner.best_cost,
+                n_culled=controller.n_culled,
+                budget_reallocated=controller.budget_reallocated,
+                final_budgets=tuple(int(x) for x in plan.budgets),
+                n_steps=tuple(r.n_iterations for r in results),
+            )
         return PacketAnnealingOutcome(
             assignment=kernel.assignment_to_ids(winner.best_state),
             best_cost=winner.best_cost,
@@ -900,6 +603,11 @@ class PacketAnnealer:
             replica_stats=stats,
             portfolio=report,
         )
+
+
+def _sigmoid(acceptance) -> bool:
+    """Whether *acceptance* is the sigmoid rule (eq. 1) the array walks inline."""
+    return type(acceptance) is BoltzmannSigmoidAcceptance
 
 
 def _run_seed(rng) -> int:

@@ -2,14 +2,17 @@
 
 Six contracts are pinned here:
 
-* the single-chain array walk (``SAConfig(walk="array")``, the default)
-  replays the kernel walk (``walk="kernel"``) and the reference path
+* the single-chain array walk (the compiled default) replays the generic
+  ``Annealer.run`` loop over the same kernel problem and the reference path
   (``compiled=False``) **bit for bit** — identical accepted-move counts,
-  costs and committed assignments — on synthetic packets over homogeneous
-  and heterogeneous machines (hypothesis + fixed cases; the 24 golden
-  Table-2 cells and both random-graph fixtures pin the same walk end-to-end
-  through ``tests/test_golden_trace.py`` and ``tests/test_fast_engine.py``,
-  which run the default config);
+  costs and committed assignments, dict-insertion order included — on
+  synthetic packets over homogeneous and heterogeneous machines
+  (hypothesis + fixed cases; the 24 golden Table-2 cells and both
+  random-graph fixtures pin the same walk end-to-end through
+  ``tests/test_golden_trace.py`` and ``tests/test_fast_engine.py``, which
+  run the default config); acceptance rules other than the sigmoid run
+  ``Annealer.run`` on every compiled route — both engines' single chains,
+  one-slot epochs and replica lanes — and match the reference;
 * the stepped lanes of ``anneal_replicas_batched`` return, for every
   replica, exactly the result of a scalar single-chain walk on that
   replica's child stream, each lane's trajectory is the ``(temperature,
@@ -49,6 +52,7 @@ from hypothesis import strategies as st
 import repro.core.array_annealer as array_annealer_module
 import repro.core.packet_annealer as packet_annealer_module
 import repro.core.sa_scheduler as sa_scheduler_module
+from repro.annealing.acceptance import GreedyAcceptance, MetropolisAcceptance
 from repro.annealing.cooling import GeometricCooling, LinearCooling
 from repro.annealing.replicas import ReplicaStats, best_replica_index, summarize_replicas
 from repro.annealing.stopping import StoppingRule
@@ -77,7 +81,6 @@ from repro.core.packet import AnnealingPacket
 from repro.core.packet_annealer import (
     PacketAnnealer,
     PacketMappingProblem,
-    _anneal_indexed,
     _split_rng,
 )
 from repro.core.sa_scheduler import SAScheduler
@@ -140,7 +143,7 @@ _SETTINGS = settings(
 
 def _outcome_key(outcome):
     return (
-        outcome.assignment,
+        list(outcome.assignment.items()),  # values AND insertion order
         outcome.best_cost,
         outcome.initial_cost,
         outcome.n_proposals,
@@ -161,16 +164,34 @@ def _result_key(result):
     )
 
 
+def _generic_loop(packet, machine, rng, config=None, comm_model=None):
+    """The generic ``Annealer.run`` over *packet*'s kernel problem, on the
+    split generator twins the compiled single chain uses, keyed as
+    :func:`_outcome_key` keys an outcome."""
+    config = config or SAConfig(seed=0)
+    kernel = PacketCostFunction(packet, machine, comm_model=comm_model).kernel
+    problem = PacketMappingProblem(
+        kernel.index_packet(), kernel, initial_mapping=config.initial_mapping
+    )
+    seed_rng, run_rng = _split_rng(as_rng(rng))
+    initial_cost = problem.cost(problem.initial_state(seed_rng))
+    result = PacketAnnealer(config)._build_annealer(packet).run(problem, seed=run_rng)
+    return (
+        list(kernel.assignment_to_ids(result.best_state).items()),
+        result.best_cost,
+        initial_cost,
+        result.n_proposals,
+        result.n_accepted,
+        result.n_iterations,
+    )
+
+
 # --------------------------------------------------------------------------- #
-# Single-chain equivalence: array walk vs kernel walk vs reference
+# Single-chain equivalence: array walk vs the generic loop vs reference
 # --------------------------------------------------------------------------- #
 
 
 class TestSingleChainEquivalence:
-    def test_default_walk_is_array(self):
-        """The golden suites run the default config, so they pin this walk."""
-        assert SAConfig().walk == "array"
-
     @given(
         n_ready=st.integers(1, 24),
         n_idle=st.integers(1, 8),
@@ -182,28 +203,28 @@ class TestSingleChainEquivalence:
     def test_all_three_tiers_commit_identical_walks(
         self, n_ready, n_idle, seed, machine_kind, comm_off
     ):
+        """The compiled array walk, the generic loop over the same kernel
+        problem and the reference path (per-call costs)."""
         packet = _make_packet(n_ready, n_idle, seed)
         machine = _MACHINES[machine_kind](seed)
         comm_model = ZeroCommModel() if comm_off else LinearCommModel()
-        outcomes = [
+        array, reference = (
             PacketAnnealer(cfg).anneal(packet, machine, comm_model=comm_model, rng=seed)
-            for cfg in (
-                SAConfig(seed=0),  # array (default)
-                SAConfig(seed=0, walk="kernel"),
-                SAConfig(seed=0, compiled=False),
-            )
-        ]
-        assert _outcome_key(outcomes[0]) == _outcome_key(outcomes[1])
-        assert _outcome_key(outcomes[0]) == _outcome_key(outcomes[2])
+            for cfg in (SAConfig(seed=0), SAConfig(seed=0, compiled=False))
+        )
+        generic = _generic_loop(packet, machine, seed, comm_model=comm_model)
+        assert _outcome_key(array) == generic
+        assert _outcome_key(array) == _outcome_key(reference)
 
     @pytest.mark.parametrize("machine_kind", sorted(_MACHINES))
     @pytest.mark.parametrize("initial_mapping", ["hlf", "random", "empty"])
     def test_walk_level_results_identical_including_order(
         self, machine_kind, initial_mapping
     ):
-        """anneal_array vs _anneal_indexed: full AnnealingResult equality,
-        including the dict-insertion order of the committed mappings (which
-        the drop-victim draw and the resync sums depend on)."""
+        """anneal_array vs Annealer.run over the same kernel problem: full
+        AnnealingResult equality, including the dict-insertion order of the
+        best and final mappings (which the drop-victim draw and the resync
+        sums depend on)."""
         for seed in range(6):
             packet = _make_packet(12 + seed, 3 + seed % 5, seed)
             machine = _MACHINES[machine_kind](seed)
@@ -214,35 +235,32 @@ class TestSingleChainEquivalence:
             )
             annealer = PacketAnnealer(cfg)._build_annealer(packet)
             res_a = anneal_array(kernel, problem, annealer, np.random.default_rng(seed))
-            res_k = _anneal_indexed(kernel, problem, annealer, np.random.default_rng(seed))
-            assert _result_key(res_a) == _result_key(res_k)
+            res_g = annealer.run(problem, seed=np.random.default_rng(seed))
+            assert _result_key(res_a) == _result_key(res_g)
 
     def test_degenerate_packets(self, hypercube8):
         for n_ready, n_idle in [(1, 1), (1, 8), (8, 1), (2, 2)]:
             packet = _make_packet(n_ready, n_idle, 3)
             a = PacketAnnealer(SAConfig(seed=0)).anneal(packet, hypercube8, rng=7)
-            k = PacketAnnealer(SAConfig(seed=0, walk="kernel")).anneal(
-                packet, hypercube8, rng=7
-            )
-            assert _outcome_key(a) == _outcome_key(k)
+            assert _outcome_key(a) == _generic_loop(packet, hypercube8, 7)
 
-    def test_non_sigmoid_acceptance_falls_back_to_kernel_walk(self, hypercube8):
-        """The array walk requires the sigmoid rule; Metropolis configs must
-        still work (via the kernel walk) and match the reference."""
-        from repro.annealing.acceptance import MetropolisAcceptance
+    def test_non_sigmoid_acceptance_runs_the_generic_loop(self, hypercube8, monkeypatch):
+        """The array walk inlines only the sigmoid rule: a compiled Metropolis
+        anneal runs Annealer.run over the kernel, never anneal_array, and
+        matches the reference."""
 
+        def no_array_walk(*args):
+            raise AssertionError("a non-sigmoid rule reached anneal_array")
+
+        monkeypatch.setattr(packet_annealer_module, "anneal_array", no_array_walk)
         packet = _make_packet(10, 4, 0)
-        fast = PacketAnnealer(SAConfig(seed=0, acceptance=MetropolisAcceptance()))
-        slow = PacketAnnealer(
-            SAConfig(seed=0, acceptance=MetropolisAcceptance(), compiled=False)
-        )
-        assert _outcome_key(fast.anneal(packet, hypercube8, rng=5)) == _outcome_key(
-            slow.anneal(packet, hypercube8, rng=5)
-        )
+        cfg = SAConfig(seed=0, acceptance=MetropolisAcceptance())
+        fast = PacketAnnealer(cfg).anneal(packet, hypercube8, rng=5)
+        slow = PacketAnnealer(replace(cfg, compiled=False)).anneal(packet, hypercube8, rng=5)
+        assert _outcome_key(fast) == _outcome_key(slow)
+        assert _outcome_key(fast) == _generic_loop(packet, hypercube8, 5, cfg)
 
     def test_anneal_array_rejects_non_sigmoid(self, hypercube8):
-        from repro.annealing.acceptance import GreedyAcceptance
-
         packet = _make_packet(4, 2, 0)
         kernel = PacketCostFunction(packet, hypercube8).kernel
         problem = PacketMappingProblem(kernel.index_packet(), kernel)
@@ -1134,6 +1152,76 @@ class TestOneSlotSingleChain:
 
 
 # --------------------------------------------------------------------------- #
+# Non-sigmoid acceptance on every compiled route
+# --------------------------------------------------------------------------- #
+
+
+class TestNonSigmoidRoutes:
+    """Rules other than the sigmoid run ``Annealer.run`` over the kernel on
+    both engines' compiled routes, single chains and replica lanes alike."""
+
+    @pytest.mark.parametrize("machine_kind", ["hom", "het"])
+    @pytest.mark.parametrize("replicas", [1, 3])
+    @pytest.mark.parametrize("rule", [MetropolisAcceptance, GreedyAcceptance])
+    def test_engines_and_reference_commit_the_same_runs(
+        self, rule, replicas, machine_kind, monkeypatch
+    ):
+        """fast_assign → anneal_compiled (one-slot epochs and kernels), the
+        object engine's anneal → anneal_compiled (kernels) and
+        ``compiled=False`` agree on the makespan, every placement and every
+        packet's stats, ``initial_cost`` included."""
+        graph = layered_random(seed=5, **_LAYERED)
+        machine = _MACHINES[machine_kind](2)
+        config = replace(
+            SAConfig.paper_defaults(seed=2), acceptance=rule(), replicas=replicas
+        )
+        lowered = []
+        anneal_compiled = PacketAnnealer.anneal_compiled
+
+        def spy(self, kernel, rng=None, seed_assignments=None):
+            lowered.append(type(kernel))
+            return anneal_compiled(self, kernel, rng, seed_assignments)
+
+        monkeypatch.setattr(PacketAnnealer, "anneal_compiled", spy)
+
+        def run(config, fast):
+            lowered.clear()
+            policy = SAScheduler(config)
+            result = simulate(graph, machine, policy, record_trace=False, fast=fast)
+            key = (result.makespan, result.task_processor, policy.packet_stats)
+            return key, result.n_fallback_epochs, set(lowered)
+
+        fast, fallbacks, fast_routes = run(config, True)
+        assert fallbacks == 0
+        assert fast_routes == {OneSlotPacket, PacketKernel}
+        assert any(stats.n_idle == 1 for stats in fast[2])
+        obj, _, obj_routes = run(config, False)
+        assert obj_routes == {PacketKernel}
+        reference, _, reference_routes = run(replace(config, compiled=False), False)
+        assert reference_routes == set()
+        assert obj == fast
+        assert reference == fast
+
+    @pytest.mark.parametrize("rule", [MetropolisAcceptance, GreedyAcceptance])
+    def test_lanes_return_the_generic_loop_per_child(self, rule, hypercube8):
+        for seed in range(3):
+            packet = _make_packet(10 + 3 * seed, 1 + seed, seed)
+            kernel = PacketCostFunction(packet, hypercube8).kernel
+            problem = PacketMappingProblem(kernel.index_packet(), kernel)
+            cfg = SAConfig(seed=0, acceptance=rule())
+            annealer = PacketAnnealer(cfg)._build_annealer(packet)
+            results, trajs = anneal_replicas_batched(
+                kernel, problem, annealer, _prepped_run_rngs(problem, seed, 3)
+            )
+            generic = [
+                annealer.run(problem, seed=rng)
+                for rng in _prepped_run_rngs(problem, seed, 3)
+            ]
+            assert [_result_key(r) for r in results] == [_result_key(r) for r in generic]
+            assert trajs == [[], [], []]
+
+
+# --------------------------------------------------------------------------- #
 # SA fast path end-to-end + the replicas= knob
 # --------------------------------------------------------------------------- #
 
@@ -1259,11 +1347,6 @@ class TestSAFastPath:
 
 
 class TestConfigValidation:
-    def test_walk_choices(self):
-        SAConfig(walk="kernel")
-        with pytest.raises(ConfigurationError, match="walk"):
-            SAConfig(walk="turbo")
-
     def test_replicas_positive(self):
         SAConfig(replicas=3)
         with pytest.raises(ConfigurationError, match="replicas"):

@@ -83,8 +83,8 @@ def _portfolio_outcome(lanes: int, packet_seed: int = 11, rng_seed: int = 123,
     cost_fn = PacketCostFunction(
         packet, machine, comm_model=LinearCommModel(), compiled=True
     )
-    outcome = annealer._anneal_portfolio(
-        packet, cost_fn.kernel, as_rng(rng_seed), seed_assignments
+    outcome = annealer.anneal_compiled(
+        cost_fn.kernel, as_rng(rng_seed), seed_assignments
     )
     return packet, cost_fn.kernel, cfg, annealer, outcome
 
@@ -141,10 +141,8 @@ class TestPortfolioConfig:
             SAConfig(portfolio=4, replicas=8)
 
     def test_saconfig_rejects_portfolio_off_the_vectorized_walk(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="compiled=True"):
             SAConfig(portfolio=4, compiled=False)
-        with pytest.raises(ConfigurationError):
-            SAConfig(portfolio=4, walk="kernel")
 
     def test_saconfig_rejects_portfolio_with_other_acceptance(self):
         with pytest.raises(ConfigurationError):
