@@ -106,13 +106,11 @@ class CellTimeoutError(WorkerError):
 
 
 class EngineFallbackError(SimulationError):
-    """An engine tier failed and execution degraded down the ladder.
+    """A run pinned to an engine that cannot execute its scenario.
 
     Subclasses :class:`SimulationError` so existing callers that catch the
-    simulator's errors keep working; raised when a forced engine cannot run a
-    scenario, and recorded (not raised) when the sweep quarantines a cell
-    from the batched lane to a solo run or from the fast engine to the
-    object engine.
+    simulator's errors keep working; raised when ``fast=True`` meets a
+    communication model that cannot be folded into tables.
     """
 
     def __init__(self, message: str, tier: str = "fast", cause: str = "") -> None:

@@ -78,12 +78,11 @@ cell (or lane-group item, up to policies × lanes cells) runs under a per-item
 wall-clock ``--timeout``, failed items are retried up to ``--retries`` times
 with exponential backoff + deterministic jitter, a crashed or killed worker
 is respawned and its item re-dispatched, and ``--maxtasksperchild`` recycles
-leaky workers.  Failures degrade down an engine ladder instead of poisoning
-the sweep: a cell that fails on the batched lane is quarantined to a solo
-fast-engine run, a cell that fails on the fast engine retries on the
-reference object engine, and a cell that exhausts every rung carries a
-structured error row (``error_type`` / ``traceback`` / ``attempts`` /
-``engine_used``).
+leaky workers.  Failures degrade down one engine ladder (batched → fast →
+object, :func:`_run_cells`) instead of poisoning the sweep: any cell that
+fails re-runs alone one rung down, and a failure on the last rung is a
+structured error row (``error_type`` / ``traceback``) that keeps the record
+of every step taken.
 ``--checkpoint`` journals completed rows to an append-only JSONL file keyed
 by spec hash, and ``--resume`` restores them — re-executing only unfinished
 cells, with rows and aggregates identical to an uninterrupted run::
@@ -136,8 +135,8 @@ from repro.schedulers.hlf import HLFScheduler
 from repro.schedulers.lpt import LPTScheduler
 from repro.schedulers.random_policy import RandomScheduler
 from repro.sim.compile import compile_scenario, scenario_cache_stats
-from repro.sim.engine import simulate_degraded
-from repro.sim.fast_engine import run_lanes
+from repro.sim.engine import Simulator
+from repro.sim.fast_engine import FIDELITIES, run_lanes
 from repro.taskgraph import io as taskgraph_io
 from repro.taskgraph.generators import layered_random, random_dag
 from repro.utils.chaos import FAULT_KINDS, ChaosConfig
@@ -155,6 +154,7 @@ __all__ = [
     "build_grid",
     "run_scenario",
     "run_lane_group",
+    "lane_eligible",
     "run_sweep",
     "parallel_map",
     "comparable_rows",
@@ -299,14 +299,12 @@ POLICY_BUILDERS: Dict[str, Callable[[int], "object"]] = {
 # Grid construction and the per-scenario worker
 # --------------------------------------------------------------------------- #
 
-#: Per-worker scenario-building caches.  Workers used to rebuild the graph
-#: and machine for every spec, which defeated the compiled-scenario memo
-#: (it is keyed on object identity): paired specs — the same (family, seed,
-#: machine) under several policies — recompiled the same arrays per spec.
-#: Caching the deterministic builders per process makes the PR-3 memo hit
-#: across specs inside a worker; the hit/miss deltas are reported per row
-#: and aggregated into the sweep meta.  Bounded FIFO so giant custom grids
-#: cannot grow a worker without limit.
+#: Per-worker scenario-building caches.  The compiled-scenario memo is keyed
+#: on object identity, so caching the deterministic builders per process
+#: lets paired specs — the same (family, seed, machine) under several
+#: policies — hit it across specs inside a worker; the hit/miss deltas are
+#: reported per row and aggregated into the sweep meta.  Bounded FIFO so
+#: giant custom grids cannot grow a worker without limit.
 _GRAPH_CACHE: Dict[tuple, object] = {}
 _MACHINE_CACHE: Dict[str, Machine] = {}
 _WORKER_CACHE_LIMIT = 64
@@ -398,9 +396,11 @@ def build_grid(
     annealing to the SA rows only (the other policies have no replica
     notion); *portfolio* races the anytime heterogeneous-lane portfolio on
     the SA rows instead (the two are mutually exclusive).  Like unknown
-    keys, an invalid count fails here rather than as one error row per SA
-    spec.
+    keys, an invalid count or an unknown *fidelity* raises ``ValueError``
+    here rather than producing one error row per spec.
     """
+    if fidelity not in FIDELITIES:
+        raise ValueError(f"fidelity must be one of {FIDELITIES}, got {fidelity!r}")
     if replicas is not None and replicas < 1:
         raise ValueError(f"replicas must be >= 1 or None, got {replicas}")
     if portfolio is not None and portfolio < 2:
@@ -443,16 +443,15 @@ def build_grid(
     return grid
 
 
-def _error_fields(exc_type: str, message: str, tb: str) -> dict:
-    """The row fields of a cell that exhausted every tier of the ladder."""
+def _error_fields(error_type: str, error: str, traceback: str) -> dict:
+    """The row fields of a cell that exhausted every rung of the ladder."""
     return dict(
         makespan=None, speedup=None, n_tasks=None, n_packets=None,
         n_fallback_epochs=None,
-        error=f"{exc_type}: {message}",
-        error_type=exc_type,
-        traceback=tb,
+        error=f"{error_type}: {error}",
+        error_type=error_type,
+        traceback=traceback,
         engine_used=None,
-        engine_fallbacks=[],
     )
 
 
@@ -472,92 +471,118 @@ def _build_policy(spec: dict):
     return policy
 
 
+def _run_cells(rows: List[dict], rung: str) -> None:
+    """Run the cells of *rows* on one engine rung, filling the rows in place.
+
+    The whole engine ladder, ``"batched"`` → ``"fast"`` → ``"object"``.  On
+    ``"batched"`` each cell is resolved, validated, reset and compiled
+    through the per-worker scenario memo, and all run as one
+    :func:`~repro.sim.fast_engine.run_lanes` call; on ``"fast"`` /
+    ``"object"`` each cell is one traceless :class:`Simulator` run on the
+    spec's engine or pinned to the object engine.  Every rung gives the
+    same numbers.
+
+    A cell that fails re-runs alone one rung down with a fresh policy, and
+    the step (error type, message, traceback) is recorded: batched → fast
+    in ``lane_fallback``, fast → object in ``engine_fallbacks``.  A failure
+    on the object rung is the structured error row, which keeps them.
+
+    A batched call's wall time is split evenly over the rows it produced,
+    each charged its own build's compile-cache traffic; a lane that steps
+    down is measured afresh on the solo rungs, whose runtime and cache
+    deltas cover a cell's run and any step below it.
+    """
+
+    def fill(row: dict, graph, result) -> None:
+        row.update(
+            makespan=result.makespan, speedup=result.speedup(),
+            n_tasks=graph.n_tasks, n_packets=result.n_packets,
+            n_fallback_epochs=result.n_fallback_epochs,
+            error=None, error_type=None, traceback=None, engine_used=rung,
+        )
+        if row.get("_fingerprint"):
+            row["fingerprint"] = result.fingerprint()
+
+    def step_down(row: dict, exc: Exception) -> None:
+        record = {
+            "error_type": type(exc).__name__,
+            "error": str(exc),
+            "traceback": "".join(
+                traceback_module.format_exception(type(exc), exc, exc.__traceback__)
+            ),
+        }
+        if rung == "batched":
+            row["lane_fallback"] = record
+            _run_cells([row], "fast")
+        elif rung == "fast":
+            row["engine_fallbacks"].append({"from": "fast", "to": "object", **record})
+            _run_cells([row], "object")
+        else:
+            row.update(_error_fields(**record))
+
+    start = time.perf_counter()
+    lanes, built, failed = [], [], []
+    for row in rows:
+        row.setdefault("lane_fallback", None)
+        row.setdefault("engine_fallbacks", [])
+        row.setdefault("attempts", 1)
+        cell_start = time.perf_counter()
+        cache_before = scenario_cache_stats()
+        try:
+            graph = _spec_graph(row)
+            machine = _spec_machine(row)
+            comm_model = LinearCommModel() if row["with_comm"] else ZeroCommModel()
+            policy = _build_policy(row)
+            if rung == "batched":
+                graph.validate()
+                policy.reset()
+                lanes.append((compile_scenario(graph, machine, comm_model), policy))
+                built.append((row, graph))
+            else:
+                result = Simulator(
+                    graph, machine, policy, comm_model=comm_model,
+                    fidelity=row.get("fidelity", "latency"), record_trace=False,
+                    fast=row.get("fast") if rung == "fast" else False,
+                    replicas=row.get("replicas"), portfolio=row.get("portfolio"),
+                ).run()
+                fill(row, graph, result)
+        except Exception as exc:
+            if rung == "batched":
+                failed.append((row, exc))
+                continue
+            step_down(row, exc)
+        cache_after = scenario_cache_stats()
+        row.update(
+            compile_cache_hits=cache_after["hits"] - cache_before["hits"],
+            compile_cache_misses=cache_after["misses"] - cache_before["misses"],
+            compile_cache_evictions=cache_after["evictions"] - cache_before["evictions"],
+        )
+        if rung != "batched":
+            row.update(runtime_s=time.perf_counter() - cell_start, worker_pid=os.getpid())
+    if lanes:
+        try:
+            results = run_lanes(lanes, fidelity=rows[0].get("fidelity", "latency"))
+        except Exception as exc:
+            failed.extend((row, exc) for row, _graph in built)
+            built, results = [], []
+        per_lane_s = (time.perf_counter() - start) / max(1, len(built))
+        for (row, graph), result in zip(built, results):
+            fill(row, graph, result)
+            row.update(runtime_s=per_lane_s, worker_pid=os.getpid())
+    for row, exc in failed:
+        step_down(row, exc)
+
+
 def run_scenario(spec: dict) -> dict:
     """Run one scenario spec and return its result row (the pool worker).
 
-    Runs through :func:`~repro.sim.engine.simulate_degraded`, so a cell that
-    fails on the compiled fast engine retries once on the reference object
-    engine (bit-identical numbers) before giving up; the rungs taken are
-    recorded in the row's ``engine_used`` / ``engine_fallbacks`` fields.
-    Terminal failures are captured in the row (``error`` plus the structured
-    ``error_type`` / ``traceback``) instead of poisoning the whole sweep.
+    One cell of the engine ladder (:func:`_run_cells`) from the fast rung,
+    or from the object rung when the spec pins ``fast=False``.  The rungs
+    taken land in ``engine_used`` / ``engine_fallbacks``, and a failure on
+    the last rung is an error row instead of an exception.
     """
     row = dict(spec)
-    row.setdefault("lane_fallback", None)
-    row.setdefault("attempts", 1)
-    start = time.perf_counter()
-    cache_before = scenario_cache_stats()
-    try:
-        graph = _spec_graph(spec)
-        machine = _spec_machine(spec)
-        comm_model = LinearCommModel() if spec["with_comm"] else ZeroCommModel()
-        result, engine_used, fallbacks = simulate_degraded(
-            graph,
-            machine,
-            # A fresh policy per engine attempt: the object-engine retry
-            # replays the identical stochastic stream from the start.
-            lambda: _build_policy(spec),
-            comm_model=comm_model,
-            fidelity=spec.get("fidelity", "latency"),
-            record_trace=False,
-            # None = auto: traceless statistical runs — both fidelities —
-            # go through the compiled fast engine (bit-identical); False
-            # pins the object engine.
-            fast=spec.get("fast"),
-            replicas=spec.get("replicas"),
-            portfolio=spec.get("portfolio"),
-        )
-        row.update(
-            makespan=result.makespan,
-            speedup=result.speedup(),
-            n_tasks=graph.n_tasks,
-            n_packets=result.n_packets,
-            n_fallback_epochs=result.n_fallback_epochs,
-            error=None,
-            error_type=None,
-            traceback=None,
-            engine_used=engine_used,
-            engine_fallbacks=fallbacks,
-        )
-        if spec.get("_fingerprint"):
-            row["fingerprint"] = result.fingerprint()
-    except Exception as exc:
-        # The row-capture boundary of the ladder: record the structured
-        # taxonomy (type + traceback) so the failure is diagnosable from
-        # the report, and let the sweep carry on.
-        row.update(
-            _error_fields(
-                type(exc).__name__, str(exc), traceback_module.format_exc()
-            )
-        )
-    cache_after = scenario_cache_stats()
-    row["compile_cache_hits"] = cache_after["hits"] - cache_before["hits"]
-    row["compile_cache_misses"] = cache_after["misses"] - cache_before["misses"]
-    row["compile_cache_evictions"] = (
-        cache_after["evictions"] - cache_before["evictions"]
-    )
-    row["runtime_s"] = time.perf_counter() - start
-    row["worker_pid"] = os.getpid()
-    return row
-
-
-def _quarantine_solo(spec: dict, exc: Exception) -> dict:
-    """Retry one lane-group cell solo, stamping why it left the batched tier.
-
-    The top rung of the degradation ladder: the cell re-enters
-    :func:`run_scenario` (fast engine, then object engine if needed), which
-    also recomputes its compile-cache deltas — the fallback path measures
-    its own cache traffic instead of inheriting half-recorded numbers, so
-    ``meta.compile_cache`` stays accurate.
-    """
-    row = run_scenario(spec)
-    row["lane_fallback"] = {
-        "error_type": type(exc).__name__,
-        "error": str(exc),
-        "traceback": "".join(
-            traceback_module.format_exception(type(exc), exc, exc.__traceback__)
-        ),
-    }
+    _run_cells([row], "object" if spec.get("fast") is False else "fast")
     return row
 
 
@@ -573,96 +598,35 @@ def run_lane_group(specs: List[dict]) -> List[dict]:
     """Run a chunk of scenario specs as batched-engine calls, one per policy.
 
     The lane counterpart of :func:`run_scenario` (the pool worker behind
-    ``--lanes`` and the service's coalesced batches): every spec is
-    compiled through the per-worker scenario memo, and each policy's specs
-    are handed to :func:`~repro.sim.fast_engine.run_lanes` as one lock-step
-    call, so every batched policy kernel serves all of that call's lanes.
-    Each lane is bit-identical to the solo run :func:`run_scenario` would
-    have produced.
+    ``--lanes`` and the service's coalesced batches): each policy's specs
+    run on the ladder's batched rung (:func:`_run_cells`) as one lock-step
+    :func:`~repro.sim.fast_engine.run_lanes` call.  Each lane is
+    bit-identical to the solo run :func:`run_scenario` would have produced.
 
-    Failures degrade with per-cell quarantine instead of taking down the
-    group: a cell that fails to *build* (poisoned spec, compile error) is
-    retried solo through :func:`_quarantine_solo` while the healthy lanes
-    still run batched; if a batched *run* itself fails, every lane of that
-    call is quarantined solo.  Either way the triggering exception's type
-    and traceback land in the affected rows' ``lane_fallback`` field
-    (aggregated into ``meta.faults``), and a cell whose solo retry also
-    fails carries its own error row.  Each call's wall time (building its
-    lanes plus the batched run) is split evenly across its batched rows;
-    per-lane attribution inside one batched call has no meaning.
+    A cell that fails to build, or every lane of a call whose run fails,
+    re-runs alone on the fast rung; the healthy lanes keep their batched
+    results, and the exception lands in ``lane_fallback``.
     """
     rows = [dict(spec) for spec in specs]
     for positions in _lane_calls(specs):
-        _run_lane_call(specs, rows, positions)
+        _run_cells([rows[pos] for pos in positions], "batched")
     return rows
 
 
-def _run_lane_call(specs: List[dict], rows: List[dict], positions: List[int]) -> None:
-    """Fill ``rows[pos]`` for *positions* from one batched call (or solo retries)."""
-    start = time.perf_counter()
-    lanes = []
-    built = []  # (row position, graph) per successfully compiled lane
-    failed = []  # (row position, exception) per lane to retry solo
-    for pos in positions:
-        row = rows[pos]
-        cache_before = scenario_cache_stats()
-        try:
-            graph = _spec_graph(row)
-            machine = _spec_machine(row)
-            policy = POLICY_BUILDERS[row["policy"]](row["policy_seed"])
-            comm_model = (
-                LinearCommModel() if row["with_comm"] else ZeroCommModel()
-            )
-            graph.validate()
-            policy.reset()
-            scenario = compile_scenario(graph, machine, comm_model)
-        except Exception as exc:
-            failed.append((pos, exc))
-            continue
-        cache_after = scenario_cache_stats()
-        row["compile_cache_hits"] = cache_after["hits"] - cache_before["hits"]
-        row["compile_cache_misses"] = (
-            cache_after["misses"] - cache_before["misses"]
-        )
-        row["compile_cache_evictions"] = (
-            cache_after["evictions"] - cache_before["evictions"]
-        )
-        lanes.append((scenario, policy))
-        built.append((pos, graph))
-    results = []
-    if lanes:
-        try:
-            results = run_lanes(
-                lanes, fidelity=specs[positions[0]].get("fidelity", "latency")
-            )
-        except Exception as exc:
-            # The whole batched call failed: quarantine every lane solo.
-            failed.extend((pos, exc) for pos, _graph in built)
-            built = []
-    if built:
-        per_lane_s = (time.perf_counter() - start) / len(built)
-        pid = os.getpid()
-        for (pos, graph), result in zip(built, results):
-            rows[pos].update(
-                makespan=result.makespan,
-                speedup=result.speedup(),
-                n_tasks=graph.n_tasks,
-                n_packets=result.n_packets,
-                n_fallback_epochs=result.n_fallback_epochs,
-                error=None,
-                error_type=None,
-                traceback=None,
-                engine_used="batched",
-                engine_fallbacks=[],
-                lane_fallback=None,
-                attempts=1,
-                runtime_s=per_lane_s,
-                worker_pid=pid,
-            )
-            if rows[pos].get("_fingerprint"):
-                rows[pos]["fingerprint"] = result.fingerprint()
-    for pos, exc in failed:
-        rows[pos] = _quarantine_solo(specs[pos], exc)
+def lane_eligible(spec: dict) -> bool:
+    """Whether a cell may ride a batched lane call (sweep items, service jobs).
+
+    Replica and portfolio cells run solo: each is already an internal batch,
+    and a portfolio job's progress stream must attribute to one job.
+    ``fast=False`` pins the object engine, which has no lane path.  A laned
+    SA cell still anneals on its own lane (SA has no ``batch_assign``): a
+    lane call shares the round trip and the event loop, not the walk.
+    """
+    return (
+        spec.get("replicas") is None
+        and spec.get("portfolio") is None
+        and spec.get("fast") is not False
+    )
 
 
 def _plan_lane_items(specs: List[dict], lanes: int, jobs: int) -> List[List[dict]]:
@@ -725,11 +689,14 @@ def _validate_rows(item, rows) -> None:
             raise WorkerError(f"worker row is missing keys {missing}")
 
 
+def _failure_history(failures: List[dict]) -> List[dict]:
+    """The supervisor faults an item met, as recorded on its rows."""
+    return [{k: f.get(k) for k in ("kind", "error_type", "error")} for f in failures]
+
+
 def _annotate_rows(item, rows, attempt: int, failures: List[dict]) -> List[dict]:
     """Stamp supervisor provenance (attempt count, prior faults) on each row."""
-    history = [
-        {k: f.get(k) for k in ("kind", "error_type", "error")} for f in failures
-    ]
+    history = _failure_history(failures)
     for row in rows:
         row["attempts"] = attempt
         row["supervisor_failures"] = history
@@ -743,17 +710,11 @@ def _failure_rows(item, failures: List[dict]) -> List[dict]:
     for spec in _item_specs(item):
         row = dict(spec)
         row.update(
-            _error_fields(
-                last["error_type"], last["error"], last.get("traceback", "")
-            )
-        )
-        row.update(
+            _error_fields(last["error_type"], last["error"], last.get("traceback", "")),
             lane_fallback=None,
+            engine_fallbacks=[],
             attempts=len(failures),
-            supervisor_failures=[
-                {k: f.get(k) for k in ("kind", "error_type", "error")}
-                for f in failures
-            ],
+            supervisor_failures=_failure_history(failures),
             compile_cache_hits=0,
             compile_cache_misses=0,
             runtime_s=0.0,
@@ -887,13 +848,12 @@ def run_sweep(
     (``--portfolio``; mutually exclusive with replicas).
 
     *lanes* caps the lock-step lanes of one batched-engine call, composing
-    with *jobs* as processes × lanes: the lane-eligible cells are cut into
-    graph-contiguous items (:func:`_plan_lane_items`), each running one
-    call per policy (:func:`run_lane_group`), and the pool distributes the
-    items over workers.  The count is capped at the cell count; SA replica
-    rows and ``fast=False`` sweeps stay solo (the batched engine is a
-    fast-engine tier).  Lanes change how the work is scheduled, never the
-    numbers — every lane is bit-identical to its solo run.
+    with *jobs* as processes × lanes: the :func:`lane_eligible` cells are
+    cut into graph-contiguous items (:func:`_plan_lane_items`), each running
+    one call per policy (:func:`run_lane_group`), and the pool distributes
+    the items over workers; the count is capped at the cell count.  Lanes
+    change scheduling, never numbers: each lane is bit-identical to its
+    solo run.
 
     Execution is supervised (:mod:`repro.experiments.supervisor`): *timeout*
     arms a per-item wall-clock budget (a hung worker is killed and its item
@@ -911,11 +871,11 @@ def run_sweep(
     fast-engine fallback epochs (0 when every policy ran through an
     index-space kernel), the lane plan (``meta.lanes``: dispatched items,
     batched calls, the largest call's lanes and per-lane fallback counts),
-    the supervisor's runtime counters
-    (``meta.supervisor``: attempts, retries, timeouts, worker deaths,
-    respawns, recycles), the checkpoint/restore summary (``meta.resume``)
-    and the structured fault taxonomy (``meta.faults``: terminal errors,
-    lane quarantines and engine degradations counted by exception type).
+    the supervisor's runtime counters (``meta.supervisor``: attempts,
+    retries, timeouts, worker deaths, respawns, recycles), the
+    checkpoint/restore summary (``meta.resume``) and the structured fault
+    taxonomy (``meta.faults``: terminal errors and the ladder's batched →
+    fast and fast → object steps, counted by exception type).
     """
     if lanes < 1:
         raise ValueError(f"lanes must be >= 1, got {lanes}")
@@ -954,15 +914,9 @@ def run_sweep(
         }
     remaining = [spec for spec in grid if spec["_key"] not in restored_rows]
 
-    # Auto-cap at the cell count; only fast-engine-eligible cells (no SA
-    # replica fan-out, engine not pinned to the object path) ride lanes.
+    # Auto-cap at the cell count; only lane-eligible cells ride lanes.
     effective_lanes = max(1, min(lanes, len(grid)))
-    laned = effective_lanes > 1 and fast is not False
-    lane_specs = [
-        spec
-        for spec in remaining
-        if laned and spec["replicas"] is None and spec["portfolio"] is None
-    ]
+    lane_specs = [s for s in remaining if effective_lanes > 1 and lane_eligible(s)]
     lane_indices = [spec["_index"] for spec in lane_specs]
     items: List[object] = list(remaining)
     if lane_specs:

@@ -10,9 +10,9 @@ server's event loop so the routing policy is unit-testable on its own:
   (:mod:`repro.sim.compile`) already holds it.
 * :func:`lane_eligible` / :func:`coalesce_key` — whether and with whom a
   job may share a batched B-lane engine call
-  (:func:`repro.experiments.sweep.run_lane_group`).  The grouping rule
-  matches the sweep's lane planner: no replica fan-out, engine not pinned
-  off the fast path, and one fidelity per batched call.
+  (:func:`repro.experiments.sweep.run_lane_group`).  Eligibility is the
+  sweep lane planner's own rule (:func:`repro.experiments.sweep.lane_eligible`),
+  plus one fidelity per batched call.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from __future__ import annotations
 import hashlib
 import json
 from typing import Tuple
+
+from repro.experiments.sweep import lane_eligible
 
 __all__ = ["affinity_key", "shard", "lane_eligible", "coalesce_key"]
 
@@ -45,26 +47,6 @@ def shard(spec: dict, n_workers: int) -> int:
     if n_workers <= 1:
         return 0
     return int(affinity_key(spec), 16) % n_workers
-
-
-def lane_eligible(spec: dict) -> bool:
-    """Whether this job may ride a batched lane group.
-
-    Mirrors the sweep's lane planner: replica fan-out and portfolio racing
-    run solo (each such cell is already an internal batch, and an anytime
-    portfolio job's progress stream must attribute to exactly one job), and
-    ``fast=False`` pins the reference object engine which has no lane path.
-    SA jobs with neither fan-out are eligible too.  :class:`SAScheduler
-    <repro.core.sa_scheduler.SAScheduler>` has no ``batch_assign``, so a
-    coalesced SA job still anneals on its own lane (``fast_assign`` inside
-    the batched engine call): coalescing shares the round trip and the
-    event loop, not the walk.
-    """
-    return (
-        spec.get("replicas") is None
-        and spec.get("portfolio") is None
-        and spec.get("fast") is not False
-    )
 
 
 def coalesce_key(spec: dict) -> Tuple[str, ...]:

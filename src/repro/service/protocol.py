@@ -54,6 +54,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from repro.exceptions import ConfigurationError, ProtocolError, ReproError
+from repro.sim.fast_engine import FIDELITIES
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -72,7 +73,6 @@ PROTOCOL_VERSION = 1
 #: Operations the server understands.
 OPS = ("simulate", "submit", "poll", "stats", "ping")
 
-FIDELITIES = ("latency", "contention")
 
 _JOB_FIELDS = {
     "policy",

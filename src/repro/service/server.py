@@ -57,6 +57,10 @@ from repro.utils.chaos import ChaosConfig
 
 __all__ = ["ServiceConfig", "SchedulerService", "serve_in_thread"]
 
+#: How long the server keeps reading (and discarding) a client's bytes after
+#: rejecting an oversized request line, before closing the connection anyway.
+_HANG_UP_DRAIN_S = 2.0
+
 
 @dataclass
 class ServiceConfig:
@@ -283,6 +287,7 @@ class SchedulerService:
                             ),
                         ),
                     )
+                    await self._hang_up(reader, writer)
                     break
                 if not line:
                     break
@@ -295,6 +300,26 @@ class SchedulerService:
         finally:
             with contextlib.suppress(Exception):
                 writer.close()
+
+    async def _hang_up(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Half-close after the last response, then discard the client's input.
+
+        Closing a socket whose request bytes are still unread makes the
+        kernel answer with a reset, which can destroy the response before
+        the client reads it.  Reading to EOF (for at most
+        ``_HANG_UP_DRAIN_S``) lets the client take the answer first.
+        """
+        await self._drain(writer)
+        with contextlib.suppress(OSError, RuntimeError):
+            writer.write_eof()
+        deadline = time.monotonic() + _HANG_UP_DRAIN_S
+        with contextlib.suppress(asyncio.TimeoutError, OSError):
+            while await asyncio.wait_for(
+                reader.read(1 << 16), max(0.0, deadline - time.monotonic())
+            ):
+                pass
 
     def _handle_line(self, line: bytes, writer: asyncio.StreamWriter) -> None:
         request_id = None

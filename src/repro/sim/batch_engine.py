@@ -46,28 +46,23 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.comm.model import LinearCommModel
 from repro.exceptions import SchedulingError, SimulationError
 from repro.schedulers.base import PacketContext, SchedulingPolicy, validate_assignment
 from repro.sim.compile import (
     CompiledScenario,
     FastPacket,
     StackedScenarios,
-    compile_scenario,
     stack_scenarios,
-    supports_comm_model,
 )
-from repro.sim.fast_engine import _validate_fast_assignment, run_compiled
+from repro.sim.fast_engine import FIDELITIES, _validate_fast_assignment, run_compiled
 from repro.sim.results import SimulationResult
 
-__all__ = ["BatchEpoch", "run_batch", "simulate_batch"]
+__all__ = ["BatchEpoch", "run_batch"]
 
 TaskId = Hashable
 ProcId = int
 
 _LOGGER = logging.getLogger(__name__)
-
-_FIDELITIES = ("latency", "contention")
 
 
 def _padded_sets(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -245,16 +240,17 @@ def run_batch(
     """Run every ``(scenario, policy)`` lane to completion, in lock step.
 
     The low-level entry point (the batched :func:`run_compiled`): the caller
-    is responsible for ``policy.reset()`` and graph validation — use
-    :func:`simulate_batch` for the managed form.  Lanes may mix graphs,
-    machines, communication models and policies; policies must be distinct
-    instances per lane (stateful policies carry per-run caches and RNG
-    streams).  Returns one :class:`SimulationResult` per lane, in order,
-    each bit-identical to the solo fast engine's result for that cell.
+    is responsible for ``policy.reset()`` and graph validation, as the
+    sweep's batched rung (:func:`repro.experiments.sweep.run_lane_group`)
+    is.  Lanes may mix graphs, machines, communication models and policies;
+    policies must be distinct instances per lane (stateful policies carry
+    per-run caches and RNG streams).  Returns one :class:`SimulationResult`
+    per lane, in order, each bit-identical to the solo fast engine's result
+    for that cell.
     """
-    if fidelity not in _FIDELITIES:
+    if fidelity not in FIDELITIES:
         raise SimulationError(
-            f"fidelity must be one of {_FIDELITIES}, got {fidelity!r}"
+            f"fidelity must be one of {FIDELITIES}, got {fidelity!r}"
         )
     if not lanes:
         return []
@@ -659,56 +655,4 @@ def run_batch(
                 fidelity=fidelity,
             )
         )
-    return results
-
-
-def simulate_batch(
-    cells: Sequence[tuple],
-    fidelity: str = "latency",
-) -> List[SimulationResult]:
-    """Batched counterpart of :func:`~repro.sim.engine.simulate`.
-
-    Each cell is ``(graph, machine, policy)`` or ``(graph, machine, policy,
-    comm_model)`` (``None`` model means the default
-    :class:`~repro.comm.model.LinearCommModel`).  Cells with a foldable
-    communication model are compiled (through the scenario memo), reset and
-    run as lanes of one :func:`run_batch` call — dispatched through
-    :func:`~repro.sim.fast_engine.run_lanes`, so a single-cell group runs
-    solo; an unfoldable model falls back to a solo object-engine run.
-    Policies must be distinct instances per cell.  Results come back in
-    cell order.
-    """
-    if fidelity not in _FIDELITIES:
-        raise SimulationError(
-            f"fidelity must be one of {_FIDELITIES}, got {fidelity!r}"
-        )
-    results: List[Optional[SimulationResult]] = [None] * len(cells)
-    lanes: List[Tuple[CompiledScenario, SchedulingPolicy]] = []
-    lane_pos: List[int] = []
-    for i, cell in enumerate(cells):
-        graph, machine, policy = cell[:3]
-        comm_model = cell[3] if len(cell) > 3 and cell[3] is not None else LinearCommModel()
-        if not supports_comm_model(comm_model):
-            from repro.sim.engine import simulate
-
-            results[i] = simulate(
-                graph,
-                machine,
-                policy,
-                comm_model=comm_model,
-                fidelity=fidelity,
-                record_trace=False,
-                fast=False,
-            )
-            continue
-        graph.validate()
-        policy.reset()
-        scenario = compile_scenario(graph, machine, comm_model)
-        lanes.append((scenario, policy))
-        lane_pos.append(i)
-    if lanes:
-        from repro.sim.fast_engine import run_lanes
-
-        for i, res in zip(lane_pos, run_lanes(lanes, fidelity=fidelity)):
-            results[i] = res
     return results

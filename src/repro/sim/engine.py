@@ -54,18 +54,16 @@ from repro.machine.machine import Machine
 from repro.schedulers.base import PacketContext, SchedulingPolicy, validate_assignment
 from repro.sim.compile import compile_scenario, supports_comm_model
 from repro.sim.events import EventQueue, TASK_FINISH
-from repro.sim.fast_engine import run_compiled
+from repro.sim.fast_engine import FIDELITIES, run_compiled
 from repro.sim.message import MessageRecord
 from repro.sim.results import SimulationResult
 from repro.sim.trace import ExecutionTrace, OverheadRecord, TaskRecord
 from repro.taskgraph.graph import TaskGraph
 
-__all__ = ["Simulator", "simulate", "simulate_degraded"]
+__all__ = ["Simulator", "simulate"]
 
 TaskId = Hashable
 ProcId = int
-
-_FIDELITIES = ("latency", "contention")
 
 
 class Simulator:
@@ -124,8 +122,8 @@ class Simulator:
         replicas: Optional[int] = None,
         portfolio=None,
     ) -> None:
-        if fidelity not in _FIDELITIES:
-            raise SimulationError(f"fidelity must be one of {_FIDELITIES}, got {fidelity!r}")
+        if fidelity not in FIDELITIES:
+            raise SimulationError(f"fidelity must be one of {FIDELITIES}, got {fidelity!r}")
         if replicas is not None and portfolio is not None:
             raise SimulationError(
                 "replicas and portfolio are mutually exclusive "
@@ -460,76 +458,3 @@ def simulate(
         replicas=replicas,
         portfolio=portfolio,
     ).run()
-
-
-def simulate_degraded(
-    graph: TaskGraph,
-    machine: Machine,
-    build_policy,
-    comm_model: Optional[CommunicationModel] = None,
-    fidelity: str = "latency",
-    record_trace: bool = False,
-    fast: Optional[bool] = None,
-    replicas: Optional[int] = None,
-    portfolio=None,
-):
-    """Run a scenario with the engine degradation ladder armed.
-
-    The fault-tolerance counterpart of :func:`simulate` and the bottom rungs
-    of the sweep's ladder (batched → **fast → object**): the scenario first
-    runs on whichever engine the ``fast`` parameter selects; if that run
-    *raises* and a lower tier exists (i.e. the caller did not pin
-    ``fast=False``), the scenario is retried once on the reference object
-    engine with a **fresh** policy from *build_policy* (a zero-argument
-    callable), so the retry replays the identical stochastic stream from the
-    start.  Forcing ``fast=True`` on an unfoldable communication model still
-    raises :class:`~repro.exceptions.EngineFallbackError` — an explicit
-    engine pin is never silently overridden, in either direction.
-
-    Returns ``(result, engine_used, fallbacks)`` where *engine_used* is
-    ``"fast"`` or ``"object"`` and *fallbacks* lists one structured record
-    (error type / message / traceback) per degradation step taken.  Because
-    both engines are proven bit-identical, a degraded cell's numbers equal
-    the numbers the healthy tier would have produced.
-    """
-    import traceback as traceback_module
-
-    fallbacks: List[dict] = []
-    sim = Simulator(
-        graph,
-        machine,
-        build_policy(),
-        comm_model=comm_model,
-        fidelity=fidelity,
-        record_trace=record_trace,
-        fast=fast,
-        replicas=replicas,
-        portfolio=portfolio,
-    )
-    used_fast = sim._use_fast_engine()  # EngineFallbackError on forced-fast misuse
-    try:
-        return sim.run(), ("fast" if used_fast else "object"), fallbacks
-    except Exception as exc:
-        if fast is False or not used_fast:
-            raise
-        fallbacks.append(
-            {
-                "from": "fast",
-                "to": "object",
-                "error_type": type(exc).__name__,
-                "error": str(exc),
-                "traceback": traceback_module.format_exc(),
-            }
-        )
-        result = Simulator(
-            graph,
-            machine,
-            build_policy(),
-            comm_model=comm_model,
-            fidelity=fidelity,
-            record_trace=record_trace,
-            fast=False,
-            replicas=replicas,
-            portfolio=portfolio,
-        ).run()
-        return result, "object", fallbacks

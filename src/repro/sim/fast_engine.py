@@ -60,10 +60,13 @@ from repro.sim.message import MessageRecord
 from repro.sim.results import SimulationResult
 from repro.sim.trace import ExecutionTrace, OverheadRecord, TaskRecord
 
-__all__ = ["run_compiled", "run_lanes"]
+__all__ = ["FIDELITIES", "run_compiled", "run_lanes"]
 
 TaskId = Hashable
 ProcId = int
+
+#: The message models every engine implements (see the module docstring).
+FIDELITIES = ("latency", "contention")
 
 _LOGGER = logging.getLogger(__name__)
 
@@ -142,6 +145,8 @@ def run_compiled(
     omitted.  *fidelity* selects the latency or the store-and-forward
     contention message model (see module docstring).
     """
+    if fidelity not in FIDELITIES:
+        raise SimulationError(f"fidelity must be one of {FIDELITIES}, got {fidelity!r}")
     graph, machine = scenario.graph, scenario.machine
     n = scenario.n_tasks
     n_procs = scenario.n_procs

@@ -13,8 +13,9 @@ tests pin it four ways:
   fallback (``n_fallback_epochs`` parity with the solo engine);
 * defensively — the batched kernel validator rejects malformed
   ``batch_assign`` triples with :class:`SchedulingError`;
-* at the API surface — :func:`simulate_batch` cell ordering, the bad-fidelity
-  guard and the unfoldable-comm-model solo fallback.
+* at the API surface — empty lane lists and the bad-fidelity guard of
+  :func:`run_batch`, :func:`run_lanes` (one lane and two) and
+  :func:`run_compiled`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.comm.model import CommunicationModel, LinearCommModel, ZeroCommModel
+from repro.comm.model import LinearCommModel, ZeroCommModel
 from repro.core.config import SAConfig
 from repro.core.sa_scheduler import SAScheduler
 from repro.exceptions import SchedulingError, SimulationError
@@ -35,9 +36,8 @@ from repro.schedulers.fifo import FIFOScheduler
 from repro.schedulers.hlf import HLFScheduler
 from repro.schedulers.lpt import LPTScheduler
 from repro.schedulers.random_policy import RandomScheduler
-from repro.sim.batch_engine import run_batch, simulate_batch
+from repro.sim.batch_engine import run_batch
 from repro.sim.compile import compile_scenario
-from repro.sim.engine import simulate
 from repro.sim.fast_engine import run_compiled, run_lanes
 from repro.taskgraph.families import FAMILIES
 from repro.taskgraph.generators import layered_random, random_dag
@@ -350,61 +350,12 @@ class TestKernelValidation:
 
 
 # --------------------------------------------------------------------------- #
-# simulate_batch API surface
+# Lane API surface
 # --------------------------------------------------------------------------- #
 
 
-class _CustomComm(CommunicationModel):
-    def cost(self, machine, weight, src_proc, dst_proc):
-        return 1.0 if src_proc != dst_proc else 0.0
-
-
-class TestSimulateBatch:
-    def test_results_align_with_cells(self):
-        graphs = [random_dag(8 + 6 * i, edge_probability=0.2, seed=i) for i in range(4)]
-        machine = Machine.hypercube(3)
-        cells = [(g, machine, HLFScheduler(seed=0)) for g in graphs]
-        results = simulate_batch(cells)
-        assert len(results) == 4
-        for graph, result in zip(graphs, results):
-            expected = simulate(
-                graph, machine, HLFScheduler(seed=0),
-                comm_model=LinearCommModel(), record_trace=False, fast=True,
-            )
-            assert result.fingerprint() == expected.fingerprint()
-
-    def test_explicit_comm_model_and_fidelity(self):
-        graph = random_dag(15, edge_probability=0.2, mean_comm=4.0, seed=9)
-        machine = Machine.ring(5)
-        cells = [
-            (graph, machine, ETFScheduler(), ZeroCommModel()),
-            (graph, machine, ETFScheduler(), LinearCommModel()),
-        ]
-        results = simulate_batch(cells, fidelity="contention")
-        for i, comm_model in enumerate((ZeroCommModel(), LinearCommModel())):
-            expected = simulate(
-                graph, machine, ETFScheduler(), comm_model=comm_model,
-                fidelity="contention", record_trace=False, fast=True,
-            )
-            assert results[i].fingerprint() == expected.fingerprint()
-
-    def test_unfoldable_comm_model_falls_back_to_object_engine(self):
-        graph = random_dag(10, edge_probability=0.3, seed=4)
-        machine = Machine.hypercube(2)
-        cells = [
-            (graph, machine, HLFScheduler(seed=0), _CustomComm()),
-            (graph, machine, HLFScheduler(seed=0)),
-        ]
-        results = simulate_batch(cells)
-        expected_custom = simulate(
-            graph, machine, HLFScheduler(seed=0), comm_model=_CustomComm(),
-            record_trace=False, fast=False,
-        )
-        assert results[0].fingerprint() == expected_custom.fingerprint()
-        assert results[1].makespan > 0.0
-
+class TestLaneApi:
     def test_empty_cells(self):
-        assert simulate_batch([]) == []
         assert run_lanes([]) == []
         assert run_batch([]) == []
 
@@ -413,8 +364,8 @@ class TestSimulateBatch:
         scenario = _compile_cell(graph, Machine.hypercube(2), LinearCommModel())
         with pytest.raises(SimulationError, match="fidelity"):
             run_batch([(scenario, HLFScheduler(seed=0))], fidelity="exact")
+        # One lane goes straight to the solo engine, which checks too.
         with pytest.raises(SimulationError, match="fidelity"):
-            simulate_batch(
-                [(graph, Machine.hypercube(2), HLFScheduler(seed=0))],
-                fidelity="exact",
-            )
+            run_lanes([(scenario, HLFScheduler(seed=0))], fidelity="exact")
+        with pytest.raises(SimulationError, match="fidelity"):
+            run_compiled(scenario, HLFScheduler(seed=0), fidelity="Contention")

@@ -403,11 +403,12 @@ class TestServiceErrors:
                 client.simulate(job)
         assert info.value.error_type == "MachineError"
 
-    def test_oversized_line_closes_connection_with_error(self, service):
+    @pytest.mark.parametrize("pad", [300_000, 4_000_000])
+    def test_oversized_line_closes_connection_with_error(self, service, pad):
         host, port = service
         with socket.create_connection((host, port), timeout=10) as sock:
             reader = sock.makefile("rb")
-            sock.sendall(b'{"op": "ping", "pad": "' + b"x" * 300_000 + b'"}\n')
+            sock.sendall(b'{"op": "ping", "pad": "' + b"x" * pad + b'"}\n')
             response = json.loads(reader.readline())
             assert response["ok"] is False
             assert response["error"]["type"] == "ProtocolError"

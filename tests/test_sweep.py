@@ -200,6 +200,17 @@ class TestSweep:
             run_sweep(jobs=1, replicas=-1, policies=("SA",),
                       machines=("hypercube8",), families=("layered",), n_seeds=1)
 
+    def test_fidelity_validated_early(self):
+        with pytest.raises(ValueError, match="fidelity"):
+            build_grid(policies=("HLF",), machines=("hypercube8",),
+                       families=("layered",), n_seeds=1, fidelity="bogus")
+        # Rejected before any worker starts, whatever the lane count.
+        for lanes in (1, 2):
+            with pytest.raises(ValueError, match="fidelity"):
+                run_sweep(jobs=1, lanes=lanes, fidelity="bogus",
+                          policies=("HLF", "ETF"), machines=("hypercube8",),
+                          families=("layered",), n_seeds=1)
+
     def test_replicas_threads_into_sa_rows(self):
         grid = build_grid(policies=("HLF", "SA"), machines=("hypercube8",),
                           families=("layered",), n_seeds=1, replicas=4)
@@ -482,10 +493,9 @@ class TestLevelsOnMemoHit:
     def test_memo_hit_cells_never_compute_levels(self, monkeypatch):
         """Task levels feed only a compile miss, so a memo-hit cell skips them
         on every cell path: the sweep's solo worker (``Simulator.run``'s fast
-        path), its lane groups, and ``simulate_batch``."""
+        path) and its lane groups."""
         import repro.taskgraph.levels as levels_module
         from repro.schedulers.hlf import HLFScheduler
-        from repro.sim.batch_engine import simulate_batch
         from repro.sim.engine import simulate
         from repro.taskgraph.generators import layered_random
 
@@ -503,9 +513,7 @@ class TestLevelsOnMemoHit:
         assert (row["compile_cache_hits"], row["compile_cache_misses"]) == (1, 0)
         rows = run_lane_group([dict(spec), dict(spec, policy="ETF")])
         assert [r["engine_used"] for r in rows] == ["batched", "batched"]
-        graph = sweep_module._spec_graph(spec)
         machine = sweep_module._spec_machine(spec)
-        simulate_batch([(graph, machine, HLFScheduler(seed=0))])
         assert calls == []
         # A miss still computes them, once.
         simulate(layered_random(3, 4, seed=99), machine, HLFScheduler(seed=0),
@@ -573,8 +581,8 @@ class TestHeteroScenarios:
 
 
 class TestFailureTaxonomy:
-    """Satellite coverage: poisoned specs, worker exceptions, the engine
-    degradation ladder, and lane-group fallback parity."""
+    """Poisoned specs and worker exceptions become structured error rows and
+    a fault taxonomy instead of failing the sweep."""
 
     def test_poisoned_spec_produces_structured_error_row(self, monkeypatch):
         monkeypatch.setitem(GRAPH_FAMILIES, "poison", _poison_family)
@@ -601,6 +609,23 @@ class TestFailureTaxonomy:
                 assert row["error"] is None and row["error_type"] is None
         healthy = [a for a in report["aggregates"] if a["family"] == "layered"]
         assert healthy[0]["n_failed"] == 0 and healthy[0]["mean_speedup"] > 0
+
+    def test_parallel_map_raises_worker_error_on_failure(self):
+        def boom(item):
+            raise ValueError("exploding worker")
+
+        with pytest.raises(WorkerError, match="ValueError: exploding worker"):
+            parallel_map(boom, [{"x": 1}], jobs=1)
+        try:
+            parallel_map(boom, [{"x": 1}], jobs=1)
+        except WorkerError as exc:
+            assert exc.error_type == "ValueError"
+            assert "exploding worker" in exc.traceback
+
+
+class TestEngineLadder:
+    """The batched → fast → object ladder: a cell that fails on one rung
+    re-runs alone on the next, and its row keeps a record of every step."""
 
     def test_fast_engine_failure_degrades_to_object(self, monkeypatch):
         import repro.sim.engine as engine_mod
@@ -672,17 +697,75 @@ class TestFailureTaxonomy:
         assert report["meta"]["n_failed"] == 0
         assert report["meta"]["faults"]["lane_fallbacks"] == {"RuntimeError": 4}
 
-    def test_parallel_map_raises_worker_error_on_failure(self):
-        def boom(item):
-            raise ValueError("exploding worker")
+    def test_solo_cell_failing_on_every_engine_keeps_each_step(self, monkeypatch):
+        import repro.sim.engine as engine_mod
 
-        with pytest.raises(WorkerError, match="ValueError: exploding worker"):
-            parallel_map(boom, [{"x": 1}], jobs=1)
-        try:
-            parallel_map(boom, [{"x": 1}], jobs=1)
-        except WorkerError as exc:
-            assert exc.error_type == "ValueError"
-            assert "exploding worker" in exc.traceback
+        def fast_boom(*args, **kwargs):
+            raise RuntimeError("fast engine exploded")
+
+        def object_boom():
+            raise MemoryError("object engine exploded")
+
+        monkeypatch.setattr(engine_mod, "run_compiled", fast_boom)
+        monkeypatch.setattr(engine_mod, "EventQueue", object_boom)
+        row = run_scenario(_spec(1))
+        assert row["makespan"] is None and row["engine_used"] is None
+        assert row["error_type"] == "MemoryError"
+        assert "object engine exploded" in row["traceback"]
+        assert row["lane_fallback"] is None
+        steps = [(f["from"], f["to"], f["error_type"]) for f in row["engine_fallbacks"]]
+        assert steps == [("fast", "object", "RuntimeError")]
+        assert "fast engine exploded" in row["engine_fallbacks"][0]["traceback"]
+
+    def test_lane_cell_failing_on_every_rung_keeps_each_step(self, monkeypatch):
+        import repro.sim.engine as engine_mod
+
+        def batched_boom(lanes, fidelity):
+            raise RuntimeError("batched engine blew up")
+
+        def fast_boom(*args, **kwargs):
+            raise ArithmeticError("fast engine exploded")
+
+        def object_boom():
+            raise MemoryError("object engine exploded")
+
+        monkeypatch.setattr("repro.experiments.sweep.run_lanes", batched_boom)
+        monkeypatch.setattr(engine_mod, "run_compiled", fast_boom)
+        monkeypatch.setattr(engine_mod, "EventQueue", object_boom)
+        report = run_sweep(
+            jobs=1, lanes=2, policies=("HLF",), machines=("hypercube8",),
+            families=("layered",), n_seeds=2, retries=0,
+        )
+        assert report["meta"]["lanes"]["n_calls"] == 1
+        for row in report["results"]:
+            assert row["error_type"] == "MemoryError"
+            assert row["lane_fallback"]["error_type"] == "RuntimeError"
+            assert "batched engine blew up" in row["lane_fallback"]["traceback"]
+            steps = [(f["from"], f["to"], f["error_type"]) for f in row["engine_fallbacks"]]
+            assert steps == [("fast", "object", "ArithmeticError")]
+        assert report["meta"]["faults"] == {
+            "errors": {"MemoryError": 2},
+            "lane_fallbacks": {"RuntimeError": 2},
+            "engine_fallbacks": {"ArithmeticError": 2},
+            "n_retried_rows": 0,
+        }
+
+    def test_object_pinned_cell_has_no_rung_below(self, monkeypatch):
+        import repro.sim.engine as engine_mod
+
+        def fast_boom(*args, **kwargs):
+            raise RuntimeError("the fast engine must not run")
+
+        def object_boom():
+            raise MemoryError("object engine exploded")
+
+        monkeypatch.setattr(engine_mod, "run_compiled", fast_boom)
+        monkeypatch.setattr(engine_mod, "EventQueue", object_boom)
+        row = run_scenario(dict(_spec(1), fast=False))
+        assert row["error_type"] == "MemoryError"
+        assert row["engine_used"] is None
+        assert row["engine_fallbacks"] == []
+        assert row["lane_fallback"] is None
 
 
 class TestChaosDifferential:
