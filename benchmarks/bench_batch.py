@@ -26,8 +26,9 @@ import pytest
 from conftest import SWEEP_POLICIES
 from repro.comm.model import LinearCommModel
 from repro.machine.machine import Machine
+from repro.sim.batch_engine import run_lanes
 from repro.sim.compile import compile_scenario
-from repro.sim.fast_engine import run_compiled, run_lanes
+from repro.sim.fast_engine import run_compiled
 from repro.taskgraph.generators import random_dag
 
 REPO_ROOT = Path(__file__).parent.parent
@@ -59,9 +60,8 @@ def _sweep_lanes():
     comm = LinearCommModel()
     scenarios = []
     for graph in graphs:
-        levels = graph.levels()
         for machine in machines:
-            scenarios.append(compile_scenario(graph, machine, comm, levels=levels))
+            scenarios.append(compile_scenario(graph, machine, comm))
     return scenarios[:N_LANES]
 
 

@@ -56,7 +56,7 @@ def _etf_epoch_fixture():
     machine = Machine.hypercube(3)
     comm = LinearCommModel()
     levels = graph.levels()
-    scenario = compile_scenario(graph, machine, comm, levels=levels)
+    scenario = compile_scenario(graph, machine, comm)
     layer0 = [t for t in graph.tasks if graph.in_degree(t) == 0]
     ready_ids = [t for t in graph.tasks if t not in set(layer0)]
     placed = {t: i % machine.n_processors for i, t in enumerate(layer0)}

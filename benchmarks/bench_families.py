@@ -33,8 +33,9 @@ from repro.comm.model import LinearCommModel
 from repro.core.config import SAConfig
 from repro.core.sa_scheduler import SAScheduler
 from repro.machine.machine import Machine
+from repro.sim.batch_engine import run_lanes
 from repro.sim.compile import compile_scenario
-from repro.sim.fast_engine import run_compiled, run_lanes
+from repro.sim.fast_engine import run_compiled
 from repro.taskgraph.families import FAMILIES
 
 REPO_ROOT = Path(__file__).parent.parent
@@ -70,9 +71,7 @@ def _study_scenarios():
         for seed in range(N_SEEDS):
             graph = spec.build_large(seed=seed)
             graph.validate()
-            scenarios[(key, seed)] = compile_scenario(
-                graph, machine, comm, levels=graph.levels()
-            )
+            scenarios[(key, seed)] = compile_scenario(graph, machine, comm)
     return scenarios
 
 

@@ -61,6 +61,9 @@ __all__ = [
     "progress_sender",
 ]
 
+#: Supervisor wake-up interval (seconds) while waiting on workers.
+_POLL_INTERVAL_S = 0.1
+
 
 # --------------------------------------------------------------------------- #
 # Anytime progress channel
@@ -151,8 +154,6 @@ class SupervisorConfig:
     maxtasksperchild: Optional[int] = None
     #: Fault-injection plan applied around every cell in pool workers.
     chaos: Optional[ChaosConfig] = None
-    #: Supervisor wake-up interval while waiting on workers.
-    poll_interval: float = 0.1
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -455,7 +456,6 @@ def supervised_map(
     annotate: Optional[Callable[[object, object, int, List[dict]], object]] = None,
     on_failure: Optional[Callable[[object, List[dict]], object]] = None,
     on_result: Optional[Callable[[object, object], None]] = None,
-    on_progress: Optional[Callable[[object, dict], None]] = None,
 ) -> Tuple[List[object], dict]:
     """Map *fn* over *items* under supervision; returns ``(results, stats)``.
 
@@ -477,11 +477,10 @@ def supervised_map(
     ``on_result(item, result)``
         Called once per *successful* item as it completes (checkpointing);
         terminal failures are not journaled, so a resumed run retries them.
-    ``on_progress(item, snapshot)``
-        Called for every anytime-progress snapshot a worker streams while a
-        cell is still running (see :func:`progress_sender`); snapshots from
-        superseded attempts are dropped, and without the hook progress
-        tuples are silently discarded.
+
+    Anytime-progress snapshots a worker streams while a cell runs (see
+    :func:`progress_sender`) are discarded here; the scheduling service
+    reads them from its own workers.
     """
     config = config or SupervisorConfig()
     items = list(items)
@@ -682,7 +681,7 @@ def supervised_map(
 
             # Wait for the next event: a result, a death, a deadline, or a
             # backoff expiry — whichever comes first.
-            wait_t = config.poll_interval
+            wait_t = _POLL_INTERVAL_S
             for worker in workers:
                 if worker.deadline is not None and worker.current is not None:
                     wait_t = min(wait_t, max(0.0, worker.deadline - now))
@@ -711,16 +710,7 @@ def supervised_map(
                 if ok == "progress":
                     # Out-of-band anytime snapshot: the cell is still
                     # running, so the worker stays busy and its deadline
-                    # stands.  Deliver only current-attempt snapshots.
-                    task = worker.current
-                    if (
-                        on_progress is not None
-                        and task is not None
-                        and task.index == index
-                        and task.attempt == attempt
-                        and not done[index]
-                    ):
-                        on_progress(task.item, payload)
+                    # stands.
                     continue
                 task = worker.current
                 worker.current = None

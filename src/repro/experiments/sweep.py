@@ -45,12 +45,14 @@ both and diffs the cells::
     python -m repro.experiments.sweep --fidelity contention --jobs 4 \
         --families dag200 --out contention.json
 
-``--lanes B`` caps one batched-engine call (``sim/batch_engine.py``) at B
-lock-step lanes, composing with ``--jobs`` as processes × lanes: the cells
-are cut into graph-contiguous items that run one call per policy (see
-:func:`_plan_lane_items`).  Lanes change scheduling, never numbers: every
-lane is bit-identical to its solo fast-engine run.  SA ``--replicas`` rows
-and ``--engine object`` sweeps stay solo::
+``--lanes B`` caps one lane call (``sim/batch_engine.py``'s ``run_lanes``)
+at B lanes, composing with ``--jobs`` as processes × lanes: the cells are
+cut into graph-contiguous items that run one call per policy (see
+:func:`_plan_lane_items`).  A call steps its lanes in lock step at the
+latency fidelity when the policy has a batched kernel, and runs them solo
+otherwise.  Lanes change scheduling, never numbers: every lane is
+bit-identical to its solo fast-engine run.  SA ``--replicas`` rows and
+``--engine object`` sweeps stay out of lane items::
 
     python -m repro.experiments.sweep --families dag200 --seeds 64 \
         --jobs 4 --lanes 32 --out dag200.json
@@ -134,9 +136,10 @@ from repro.schedulers.fifo import FIFOScheduler
 from repro.schedulers.hlf import HLFScheduler
 from repro.schedulers.lpt import LPTScheduler
 from repro.schedulers.random_policy import RandomScheduler
+from repro.sim.batch_engine import run_lanes
 from repro.sim.compile import compile_scenario, scenario_cache_stats
 from repro.sim.engine import Simulator
-from repro.sim.fast_engine import FIDELITIES, run_lanes
+from repro.sim.fast_engine import FIDELITIES
 from repro.taskgraph import io as taskgraph_io
 from repro.taskgraph.generators import layered_random, random_dag
 from repro.utils.chaos import FAULT_KINDS, ChaosConfig
@@ -477,10 +480,11 @@ def _run_cells(rows: List[dict], rung: str) -> None:
     The whole engine ladder, ``"batched"`` → ``"fast"`` → ``"object"``.  On
     ``"batched"`` each cell is resolved, validated, reset and compiled
     through the per-worker scenario memo, and all run as one
-    :func:`~repro.sim.fast_engine.run_lanes` call; on ``"fast"`` /
-    ``"object"`` each cell is one traceless :class:`Simulator` run on the
-    spec's engine or pinned to the object engine.  Every rung gives the
-    same numbers.
+    :func:`~repro.sim.batch_engine.run_lanes` call (which steps the kernel
+    lanes of a latency call in lock step and runs the rest solo); on
+    ``"fast"`` / ``"object"`` each cell is one traceless :class:`Simulator`
+    run on the spec's engine or pinned to the object engine.  Every rung
+    gives the same numbers.
 
     A cell that fails re-runs alone one rung down with a fresh policy, and
     the step (error type, message, traceback) is recorded: batched → fast
@@ -587,29 +591,38 @@ def run_scenario(spec: dict) -> dict:
 
 
 def _lane_calls(specs: List[dict]) -> List[List[int]]:
-    """The positions of *specs* per batched call: one call per policy."""
-    calls: Dict[str, List[int]] = {}
+    """The positions of *specs* per batched call: one per policy and fidelity."""
+    calls: Dict[tuple, List[int]] = {}
     for pos, spec in enumerate(specs):
-        calls.setdefault(spec["policy"], []).append(pos)
+        key = (spec["policy"], spec.get("fidelity", "latency"))
+        calls.setdefault(key, []).append(pos)
     return list(calls.values())
 
 
 def run_lane_group(specs: List[dict]) -> List[dict]:
-    """Run a chunk of scenario specs as batched-engine calls, one per policy.
+    """Run a chunk of scenario specs as batched-engine calls.
 
     The lane counterpart of :func:`run_scenario` (the pool worker behind
-    ``--lanes`` and the service's coalesced batches): each policy's specs
-    run on the ladder's batched rung (:func:`_run_cells`) as one lock-step
-    :func:`~repro.sim.fast_engine.run_lanes` call.  Each lane is
-    bit-identical to the solo run :func:`run_scenario` would have produced.
+    ``--lanes`` and the service's coalesced batches): the
+    :func:`lane_eligible` specs of each policy and fidelity run on the
+    ladder's batched rung (:func:`_run_cells`) as one
+    :func:`~repro.sim.batch_engine.run_lanes` call, and every other spec
+    runs alone through :func:`run_scenario`.  Each row is bit-identical to
+    the one :func:`run_scenario` would have produced.
 
     A cell that fails to build, or every lane of a call whose run fails,
     re-runs alone on the fast rung; the healthy lanes keep their batched
     results, and the exception lands in ``lane_fallback``.
     """
     rows = [dict(spec) for spec in specs]
-    for positions in _lane_calls(specs):
-        _run_cells([rows[pos] for pos in positions], "batched")
+    laned = []
+    for pos, spec in enumerate(specs):
+        if lane_eligible(spec):
+            laned.append(rows[pos])
+        else:
+            rows[pos] = run_scenario(spec)
+    for positions in _lane_calls(laned):
+        _run_cells([laned[pos] for pos in positions], "batched")
     return rows
 
 
@@ -619,8 +632,9 @@ def lane_eligible(spec: dict) -> bool:
     Replica and portfolio cells run solo: each is already an internal batch,
     and a portfolio job's progress stream must attribute to one job.
     ``fast=False`` pins the object engine, which has no lane path.  A laned
-    SA cell still anneals on its own lane (SA has no ``batch_assign``): a
-    lane call shares the round trip and the event loop, not the walk.
+    cell steps in lock step only at the latency fidelity with a policy that
+    has a ``batch_assign`` kernel; a laned SA or contention cell runs solo
+    inside its call, sharing the round trip, not the event loop.
     """
     return (
         spec.get("replicas") is None

@@ -157,18 +157,19 @@ class SchedulingPolicy(ABC):
         state such as RNG streams must be drawn from the matching
         instance).  Returns three equal-length arrays ``(lanes, tasks,
         procs)`` of global lane indices and lane-local task / processor
-        indices — entries of the same lane **must** appear in the order the
-        policy's solo path would place them (contention fidelity replays
-        placements in that order), while entries of different lanes may
-        interleave freely.
+        indices, in any order: lanes step only at the latency fidelity,
+        where an epoch's placements commute.  Defining this method is what
+        makes :func:`~repro.sim.batch_engine.run_lanes` step a lane; every
+        other lane runs alone on the solo engine.
 
         The contract extends :meth:`fast_assign` lane-wise: for every lane
         the triples must reproduce exactly the assignment (and consume
         exactly the RNG draws) the solo path would produce.  Returning
         ``None`` (the default) declines the whole group for this epoch; the
-        engine then serves each lane through its :meth:`fast_assign` /
-        reference fallback, so a kernel must decline *before* consuming any
-        stochastic state.
+        engine then serves each lane through its :meth:`fast_assign`, so a
+        kernel must decline *before* consuming any stochastic state.  A lane
+        whose :meth:`fast_assign` declines too stops the lock step with a
+        :class:`~repro.exceptions.SimulationError`.
         """
         return None
 

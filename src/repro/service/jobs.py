@@ -9,10 +9,13 @@ server's event loop so the routing policy is unit-testable on its own:
   scenario land on the worker whose compiled-scenario memo
   (:mod:`repro.sim.compile`) already holds it.
 * :func:`lane_eligible` / :func:`coalesce_key` — whether and with whom a
-  job may share a batched B-lane engine call
-  (:func:`repro.experiments.sweep.run_lane_group`).  Eligibility is the
-  sweep lane planner's own rule (:func:`repro.experiments.sweep.lane_eligible`),
-  plus one fidelity per batched call.
+  job may share a worker round trip
+  (:func:`repro.experiments.sweep.run_lane_group`, which makes one
+  :func:`~repro.sim.batch_engine.run_lanes` call per policy and fidelity;
+  only latency jobs whose policy has a batched kernel step in lock step).
+  Eligibility is the sweep lane planner's own rule
+  (:func:`repro.experiments.sweep.lane_eligible`), plus one fidelity per
+  coalesced batch.
 """
 
 from __future__ import annotations
@@ -52,9 +55,8 @@ def shard(spec: dict, n_workers: int) -> int:
 def coalesce_key(spec: dict) -> Tuple[str, ...]:
     """Jobs with equal keys may share one batched engine call.
 
-    One fidelity per :func:`~repro.sim.fast_engine.run_lanes` call is the
-    engine's contract; everything else (policy, machine, graph, seeds) may
-    mix freely within a group, exactly as in sweep lane items, which run
-    one batched call per policy.
+    A lane call runs at one fidelity (:func:`~repro.sim.batch_engine.run_lanes`);
+    everything else (policy, machine, graph, seeds) may mix freely within a
+    group, exactly as in sweep lane items, which run one call per policy.
     """
     return ("lanes", spec.get("fidelity", "latency"))

@@ -190,6 +190,8 @@ class SchedulerService:
         self._next_job_id = 0
         self._max_finished_jobs = 1024
         self._closing = False
+        #: Live client-handler tasks, cancelled and awaited by :meth:`close`.
+        self._handlers: Set[asyncio.Task] = set()
         methods = mp.get_all_start_methods()
         self._ctx = mp.get_context("fork" if "fork" in methods else "spawn")
         self._pool_config = SupervisorConfig(
@@ -226,10 +228,20 @@ class SchedulerService:
         return self.address
 
     async def close(self) -> None:
-        """Stop accepting, drop queued work, and retire the workers."""
+        """Stop accepting, end live handlers, drop queued work, retire workers.
+
+        The handlers are cancelled and awaited before ``wait_closed()``: on
+        Python 3.11 that call does not wait for them (a pending handler
+        would be destroyed with the loop), and from 3.12 on it waits for
+        their connections, which a client that never hangs up keeps open.
+        """
         self._closing = True
         if self._server is not None:
             self._server.close()
+            handlers = list(self._handlers)
+            for task in handlers:
+                task.cancel()
+            await asyncio.gather(*handlers, return_exceptions=True)
             await self._server.wait_closed()
         for slot in self._slots:
             if slot.timer is not None:
@@ -269,6 +281,8 @@ class SchedulerService:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._handlers.add(task)
         try:
             while True:
                 try:
@@ -297,7 +311,14 @@ class SchedulerService:
                 await self._drain(writer)
         except (ConnectionResetError, BrokenPipeError):
             pass
+        except asyncio.CancelledError:
+            # close() cancels live handlers and awaits them; end those as a
+            # normal return, because on 3.11 the stream protocol's
+            # done-callback logs a cancelled handler as an error.
+            if not self._closing:
+                raise
         finally:
+            self._handlers.discard(task)
             with contextlib.suppress(Exception):
                 writer.close()
 

@@ -7,11 +7,15 @@ becomes idle, message latencies following equation 4, optional per-link
 contention with store-and-forward hops, and full execution traces from which
 speedups (Table 2) and Gantt charts (Figure 2) are derived.
 
-Two engines implement the same semantics: the object engine
-(:mod:`repro.sim.engine`) supports both fidelities and full traces, and the
-compiled fast engine (:mod:`repro.sim.compile` + :mod:`repro.sim.fast_engine`)
-runs latency-fidelity scenarios in index space at a multiple of the speed —
-bit-for-bit identical, dispatched automatically by :class:`Simulator`.
+Three engines implement the same semantics, bit for bit: the object engine
+(:mod:`repro.sim.engine`) is the readable reference; the compiled fast
+engine (:mod:`repro.sim.compile` + :mod:`repro.sim.fast_engine`) runs one
+scenario in index space at both fidelities, traces included, and
+:class:`Simulator` dispatches to it automatically; the lane engine
+(:func:`repro.sim.batch_engine.run_lanes`) runs a group of compiled cells,
+stepping latency lanes with a batched policy kernel in lock step and the
+rest through :func:`run_compiled`.  Four public functions run a simulation:
+:class:`Simulator`, :func:`simulate`, :func:`run_compiled` and ``run_lanes``.
 """
 
 from repro.sim.events import EventQueue, Event

@@ -1,10 +1,19 @@
-"""The lock-step batched simulation engine: B sweep cells as lanes.
+"""The lane engine: one call for a group of compiled sweep cells.
 
 A statistical sweep is a grid of *independent* simulations; the fast engine
 (:mod:`repro.sim.fast_engine`) makes each one cheap, but every run still
-pays the full Python event loop.  This module advances B compiled scenarios
-— *lanes* — in lock step over shared state matrices, so one round of numpy
-kernels moves every lane one event batch forward:
+pays the full Python event loop.  :func:`run_lanes` takes a group of
+``(scenario, policy)`` cells — *lanes* — and decides each lane from its
+inputs:
+
+* at the latency fidelity, lanes whose policy class defines a batched
+  kernel (:meth:`~repro.schedulers.base.SchedulingPolicy.batch_assign`)
+  advance in lock step when two or more of them qualify;
+* every other lane (contention fidelity, SA and custom policies, a lone
+  kernel lane) runs alone through the solo engine, :func:`run_compiled`.
+
+The lock step advances its lanes over shared state matrices, so one round
+of numpy kernels moves every lane one event batch forward:
 
 * per-lane state is stacked into ``(B, n_max)`` / ``(B, p_max)`` arrays
   (:class:`~repro.sim.compile.StackedScenarios` holds the immutable side);
@@ -15,19 +24,16 @@ kernels moves every lane one event batch forward:
   (the solo engine's simultaneous-event batch), retires them with one
   scattered successor decrement, and runs one assignment epoch; lanes keep
   independent clocks and drop out of the active mask as they finish;
-* epochs are served by the policies' batched kernels
-  (:meth:`~repro.schedulers.base.SchedulingPolicy.batch_assign`) — lanes
-  are grouped by policy configuration, so e.g. 64 ETF lanes resolve their
-  greedy matching in a handful of masked-reduction passes.  A lane whose
-  policy has no batched kernel (or whose kernel declines) falls back to its
-  per-lane :meth:`fast_assign`, and failing that to a materialized
-  :class:`~repro.schedulers.base.PacketContext` — counted per lane in
-  ``n_fallback_epochs`` exactly like the solo engine;
-* latency-fidelity placements are fully vectorized (within an epoch they
-  are independent: every predecessor has finished and each processor
-  receives at most one task); contention-fidelity placements replay the
-  solo engine's store-and-forward arithmetic per lane, in the policy's
-  placement order, over per-lane link/communication timelines.
+* epochs are served by the policies' batched kernels, one call per group of
+  lanes sharing a policy class and placement — e.g. 64 ETF lanes resolve
+  their greedy matching in a handful of masked-reduction passes.  When a
+  kernel declines an epoch, each of its lanes is served by its own
+  :meth:`~repro.schedulers.base.SchedulingPolicy.fast_assign`; a lane that
+  declines that too raises :class:`~repro.exceptions.SimulationError`,
+  since only the solo engine keeps a reference-context fallback;
+* placements are fully vectorized: within a latency epoch they are
+  independent (every predecessor has finished and each processor receives
+  at most one task).
 
 Every lane is **bit-identical** to a solo :func:`run_compiled` run of the
 same cell — the same contract the batched annealer holds against
@@ -40,14 +46,12 @@ contract across policies, fidelities, machine mixes and ragged lane shapes.
 
 from __future__ import annotations
 
-import logging
-from types import MappingProxyType
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import SchedulingError, SimulationError
-from repro.schedulers.base import PacketContext, SchedulingPolicy, validate_assignment
+from repro.schedulers.base import SchedulingPolicy
 from repro.sim.compile import (
     CompiledScenario,
     FastPacket,
@@ -57,12 +61,7 @@ from repro.sim.compile import (
 from repro.sim.fast_engine import FIDELITIES, _validate_fast_assignment, run_compiled
 from repro.sim.results import SimulationResult
 
-__all__ = ["BatchEpoch", "run_batch"]
-
-TaskId = Hashable
-ProcId = int
-
-_LOGGER = logging.getLogger(__name__)
+__all__ = ["BatchEpoch", "run_lanes"]
 
 
 def _padded_sets(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -192,18 +191,6 @@ class BatchEpoch:
         return rows
 
 
-class _ContentionLane:
-    """Mutable store-and-forward state of one contention-fidelity lane."""
-
-    __slots__ = ("tables", "link_free", "comm_free", "weights")
-
-    def __init__(self, scenario: CompiledScenario) -> None:
-        self.tables = scenario.contention_tables()
-        self.link_free = [0.0] * self.tables.n_links
-        self.comm_free = [0.0] * scenario.n_procs
-        self.weights = scenario.pred_weights.tolist()
-
-
 def _validate_batch_assignment(
     lanes: np.ndarray,
     tasks: np.ndarray,
@@ -233,34 +220,50 @@ def _validate_batch_assignment(
         raise SchedulingError("task assigned more than once in a batch epoch")
 
 
-def run_batch(
+def run_lanes(
     lanes: Sequence[Tuple[CompiledScenario, SchedulingPolicy]],
     fidelity: str = "latency",
 ) -> List[SimulationResult]:
-    """Run every ``(scenario, policy)`` lane to completion, in lock step.
+    """Run every ``(scenario, policy)`` lane to completion.
 
-    The low-level entry point (the batched :func:`run_compiled`): the caller
-    is responsible for ``policy.reset()`` and graph validation, as the
-    sweep's batched rung (:func:`repro.experiments.sweep.run_lane_group`)
-    is.  Lanes may mix graphs, machines, communication models and policies;
-    policies must be distinct instances per lane (stateful policies carry
-    per-run caches and RNG streams).  Returns one :class:`SimulationResult`
-    per lane, in order, each bit-identical to the solo fast engine's result
-    for that cell.
+    The one entry for a group of compiled cells (the group counterpart of
+    :func:`run_compiled`): the caller is responsible for ``policy.reset()``
+    and graph validation, as the sweep's batched rung
+    (:func:`repro.experiments.sweep.run_lane_group`) is.  Lanes may mix
+    graphs, machines, communication models and policies; policies must be
+    distinct instances per lane (stateful policies carry per-run caches and
+    RNG streams).
+
+    At the latency fidelity, the lanes whose policy class defines
+    ``batch_assign`` run in lock step when there are at least two of them;
+    every other lane runs alone through :func:`run_compiled`.  Returns one
+    :class:`SimulationResult` per lane, in input order, each bit-identical
+    to the solo fast engine's result for that cell.
     """
     if fidelity not in FIDELITIES:
         raise SimulationError(
             f"fidelity must be one of {FIDELITIES}, got {fidelity!r}"
         )
-    if not lanes:
-        return []
-    if len(lanes) == 1:
-        # A single lane has nothing to amortize: skip the stacking copies
-        # and run the solo engine it would be bit-identical to anyway.
-        # Matters to callers whose group sizes are workload-driven — a
-        # coalescing window that catches one job should not pay batch setup.
-        scenario, policy = lanes[0]
-        return [run_compiled(scenario, policy, fidelity=fidelity)]
+    stepped = [
+        b
+        for b, (_, policy) in enumerate(lanes)
+        if fidelity == "latency"
+        and type(policy).batch_assign is not SchedulingPolicy.batch_assign
+    ]
+    results: List[Optional[SimulationResult]] = [None] * len(lanes)
+    if len(stepped) >= 2:
+        for b, result in zip(stepped, _run_lock_step([lanes[b] for b in stepped])):
+            results[b] = result
+    for b, (scenario, policy) in enumerate(lanes):
+        if results[b] is None:
+            results[b] = run_compiled(scenario, policy, fidelity=fidelity)
+    return results
+
+
+def _run_lock_step(
+    lanes: Sequence[Tuple[CompiledScenario, SchedulingPolicy]],
+) -> List[SimulationResult]:
+    """Run two or more batch-kernel lanes in lock step at the latency fidelity."""
     scenarios = [sc for sc, _ in lanes]
     policies = [pol for _, pol in lanes]
     st = stack_scenarios(scenarios)
@@ -289,53 +292,20 @@ def run_batch(
     now = np.zeros(n_lanes, dtype=np.float64)
     n_finished = np.zeros(n_lanes, dtype=np.intp)
     n_packets = np.zeros(n_lanes, dtype=np.intp)
-    n_fallback = np.zeros(n_lanes, dtype=np.intp)
     processed = np.zeros(n_lanes, dtype=np.intp)
     max_events = 10 * n_tasks + 100
     active = n_tasks > 0
 
-    # Contention lanes carry per-lane link/communication timelines; a
-    # zero-communication lane rides the vectorized latency placement even at
-    # contention fidelity, exactly like the solo engine.
-    cont: List[Optional[_ContentionLane]] = [None] * n_lanes
-    if fidelity == "contention":
-        for b, sc in enumerate(scenarios):
-            if sc.comm_enabled and n_tasks[b] > 0:
-                cont[b] = _ContentionLane(sc)
-    cont_lane = np.array([state is not None for state in cont], dtype=bool)
-
     # --- policy kernel groups ------------------------------------------ #
-    # Lanes sharing a policy class (and placement flavour) are served by one
-    # batch_assign call per epoch; everything else goes per lane.
-    default_batch = SchedulingPolicy.batch_assign
-    default_fast = SchedulingPolicy.fast_assign
-    grouped: Dict[tuple, List[int]] = {}
+    # Lanes sharing a policy class and placement flavour are served by one
+    # batch_assign call per epoch.
+    grouped = {}
     for b, pol in enumerate(policies):
-        cls = type(pol)
-        if cls.batch_assign is not default_batch:
-            key = ("batch", cls, getattr(pol, "placement", None))
-        else:
-            key = ("perlane",)
+        key = (type(pol), getattr(pol, "placement", None))
         grouped.setdefault(key, []).append(b)
-    groups = [
-        (key, np.array(ids, dtype=np.intp), {}) for key, ids in grouped.items()
-    ]
+    groups = [(np.array(ids, dtype=np.intp), {}) for ids in grouped.values()]
     policies_arr = np.empty(n_lanes, dtype=object)
     policies_arr[:] = policies
-    has_fast = [type(pol).fast_assign is not default_fast for pol in policies]
-
-    # Per-lane fallback context state, maintained incrementally (in the solo
-    # engine's insertion orders) only for lanes that may need a materialized
-    # PacketContext.
-    ctx_lane = np.zeros(n_lanes, dtype=bool)
-    for key, ids, _ in groups:
-        if key[0] == "perlane":
-            ctx_lane[ids] = True
-    ctx_task_processor: Dict[int, Dict[TaskId, ProcId]] = {}
-    ctx_finish: Dict[int, Dict[TaskId, float]] = {}
-    for b in np.flatnonzero(ctx_lane):
-        ctx_task_processor[int(b)] = {}
-        ctx_finish[int(b)] = {}
 
     # --- placement ------------------------------------------------------ #
     def place_latency(L: np.ndarray, T: np.ndarray, P: np.ndarray) -> None:
@@ -384,125 +354,38 @@ def run_batch(
         proc_fin[L, P] = fin_new
         proc_task_free[L, P] = fin_new
 
-    def place_contention(b: int, T: np.ndarray, P: np.ndarray) -> None:
-        """Store-and-forward placement of one lane's epoch triples, in order.
-
-        Scalar mirror of the solo engine's ``place_contention`` — link
-        occupancy makes within-epoch placements order-dependent, so the
-        triples arrive in the policy's placement order and replay it.
-        """
-        state = cont[b]
-        ct = state.tables
-        link_free, comm_free, weights = state.link_free, state.comm_free, state.weights
-        sc = scenarios[b]
-        pred_indptr, pred_ids = sc.pred_indptr_list, sc.pred_ids_list
-        durations, speeds = sc.durations_list, sc.speeds_list
-        sigma, tau = ct.sigma, ct.tau
-        unit_links = ct.unit_links
-        route_indptr = ct.route_indptr
-        hop_links, hop_nodes, hop_mults = ct.hop_links, ct.hop_nodes, ct.hop_mults
-        n_p = sc.n_procs
-        fin_row = finish[b]
-        asg_row = assigned[b]
-        ptf_row = proc_task_free[b]
-        t_now = now[b]
-        for ti, proc in zip(T.tolist(), P.tolist()):
-            data_ready = t_now
-            for e in range(pred_indptr[ti], pred_indptr[ti + 1]):
-                pred = pred_ids[e]
-                src = int(asg_row[pred])
-                send_time = fin_row[pred]
-                if src == proc:
-                    arrival = send_time
-                else:
-                    weight = weights[e]
-                    cf = comm_free[src]
-                    send_start = send_time if send_time >= cf else cf
-                    end = send_start + sigma
-                    if end > cf:
-                        comm_free[src] = end
-                    at_node = send_start + sigma
-                    base = route_indptr[src * n_p + proc]
-                    top = route_indptr[src * n_p + proc + 1]
-                    last = top - 1
-                    for h in range(base, top):
-                        lid = hop_links[h]
-                        lf = link_free[lid]
-                        hop_start = at_node if at_node >= lf else lf
-                        hop_end = hop_start + (
-                            weight if unit_links else weight * hop_mults[h]
-                        )
-                        link_free[lid] = hop_end
-                        at_node = hop_end
-                        if h < last:
-                            nb = hop_nodes[h]
-                            routed = hop_end + tau
-                            if routed > comm_free[nb]:
-                                comm_free[nb] = routed
-                            at_node = routed
-                    arrival = at_node
-                if arrival > data_ready:
-                    data_ready = arrival
-            start = max(t_now, data_ready, comm_free[proc], ptf_row[proc])
-            fin = start + durations[ti] / speeds[proc]
-            ptf_row[proc] = fin
-            fin_row[ti] = fin
-            proc_fin[b, proc] = fin
-
     def assign_per_lane(
         b: int, triples: List[Tuple[np.ndarray, np.ndarray, np.ndarray]]
     ) -> None:
-        """One lane's epoch through fast_assign, else a materialized context."""
+        """One lane's epoch through its fast_assign (its group's kernel declined)."""
         nb = int(n_tasks[b])
         pb = int(n_procs[b])
-        sc = scenarios[b]
         pol = policies[b]
         t_now = float(now[b])
-        ready_b = np.flatnonzero(ready_mask[b, :nb])
-        idle_b = np.flatnonzero(occupant[b, :pb] < 0)
-        # A busy processor frees exactly when its running task finishes, so
-        # its solo proc_ready value *is* proc_task_free; idle slots read the
-        # epoch time — the row the solo engine would hand the policy.
-        pr_row = np.where(occupant[b, :pb] < 0, t_now, proc_task_free[b, :pb])
-        assignment: Optional[Dict[int, ProcId]] = None
-        if has_fast[b]:
-            packet = FastPacket(
-                time=t_now,
-                ready=ready_b.tolist(),
-                idle=idle_b.tolist(),
-                scenario=sc,
-                assigned_proc=assigned[b, :nb],
-                finish_times=finish[b, :nb],
-                proc_ready_time=pr_row,
-            )
-            assignment = pol.fast_assign(packet)
-            if assignment is not None:
-                _validate_fast_assignment(
-                    t_now,
-                    unfinished[b, :nb],
-                    assigned[b, :nb],
-                    occupant[b, :pb],
-                    assignment,
-                )
+        idle_b = occupant[b, :pb] < 0
+        packet = FastPacket(
+            time=t_now,
+            ready=np.flatnonzero(ready_mask[b, :nb]).tolist(),
+            idle=np.flatnonzero(idle_b).tolist(),
+            scenario=scenarios[b],
+            assigned_proc=assigned[b, :nb],
+            finish_times=finish[b, :nb],
+            # A busy processor frees exactly when its running task finishes,
+            # so its solo proc_ready value *is* proc_task_free; idle slots
+            # read the epoch time — the row the solo engine would hand over.
+            proc_ready_time=np.where(idle_b, t_now, proc_task_free[b, :pb]),
+        )
+        assignment = pol.fast_assign(packet)
         if assignment is None:
-            n_fallback[b] += 1
-            levels_map = dict(zip(sc.task_ids, sc.levels_list))
-            proc_ready_map = dict(enumerate(pr_row.tolist()))
-            ctx = PacketContext(
-                time=t_now,
-                ready_tasks=[sc.task_ids[k] for k in ready_b.tolist()],
-                idle_processors=idle_b.tolist(),
-                graph=sc.graph,
-                machine=sc.machine,
-                levels=levels_map,
-                task_processor=MappingProxyType(ctx_task_processor[b]),
-                finish_times=MappingProxyType(ctx_finish[b]),
-                comm_model=sc.comm_model,
-                processor_ready_time=MappingProxyType(proc_ready_map),
+            name = getattr(pol, "name", type(pol).__name__)
+            raise SimulationError(
+                f"policy {name!r} declined both batch_assign and fast_assign "
+                f"at t={t_now}; the lock-step engine has no reference-context "
+                "fallback, so run this lane through run_compiled"
             )
-            id_assignment = pol.assign(ctx)
-            validate_assignment(ctx, id_assignment)
-            assignment = {sc.index_of[t]: p for t, p in id_assignment.items()}
+        _validate_fast_assignment(
+            t_now, unfinished[b, :nb], assigned[b, :nb], occupant[b, :pb], assignment
+        )
         if assignment:
             k = len(assignment)
             triples.append(
@@ -520,35 +403,31 @@ def run_batch(
         if not ep_mask.any():
             return
         triples: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for key, ids, cache in groups:
+        for ids, cache in groups:
             gl = ids[ep_mask[ids]]
             if gl.size == 0:
                 continue
-            result = None
-            if key[0] == "batch":
-                epoch = BatchEpoch(
-                    lanes=gl,
-                    now=now[gl],
-                    stacked=st,
-                    assigned=assigned,
-                    finish=finish,
-                    ready_mask=ready_mask,
-                    idle_mask=idle_mask,
-                    cache=cache,
-                )
-                result = policies[int(gl[0])].batch_assign(
-                    epoch, policies_arr[gl].tolist()
-                )
-            if result is not None:
-                L, T, P = (np.asarray(a, dtype=np.intp) for a in result)
-                if len(L):
-                    _validate_batch_assignment(
-                        L, T, P, ready_mask, occupant, now
-                    )
-                    triples.append((L, T, P))
-            else:
+            epoch = BatchEpoch(
+                lanes=gl,
+                now=now[gl],
+                stacked=st,
+                assigned=assigned,
+                finish=finish,
+                ready_mask=ready_mask,
+                idle_mask=idle_mask,
+                cache=cache,
+            )
+            result = policies[int(gl[0])].batch_assign(
+                epoch, policies_arr[gl].tolist()
+            )
+            if result is None:
                 for b in gl.tolist():
                     assign_per_lane(b, triples)
+                continue
+            L, T, P = (np.asarray(a, dtype=np.intp) for a in result)
+            if len(L):
+                _validate_batch_assignment(L, T, P, ready_mask, occupant, now)
+                triples.append((L, T, P))
         if not triples:
             return
         if len(triples) == 1:
@@ -564,21 +443,7 @@ def run_batch(
         cnt = np.bincount(L, minlength=n_lanes)
         np.add(n_packets, cnt > 0, out=n_packets)
         np.subtract(ready_count, cnt, out=ready_count)
-        cont_sel = cont_lane[L]
-        if not cont_sel.all():
-            sel = ~cont_sel
-            place_latency(L[sel], T[sel], P[sel])
-        if cont_sel.any():
-            # Per lane, in the concatenation order (= the policy's placement
-            # order within each lane).
-            for b in np.unique(L[cont_sel]).tolist():
-                sel = cont_sel & (L == b)
-                place_contention(b, T[sel], P[sel])
-        if ctx_lane[L].any():
-            for b, ti, proc in zip(L.tolist(), T.tolist(), P.tolist()):
-                if ctx_lane[b]:
-                    sc = scenarios[b]
-                    ctx_task_processor[b][sc.task_ids[ti]] = proc
+        place_latency(L, T, P)
 
     # --- main loop ------------------------------------------------------ #
     run_epoch_round()
@@ -628,11 +493,6 @@ def run_batch(
                 np.bincount(became // n_max, minlength=n_lanes),
                 out=ready_count,
             )
-        if ctx_lane[lanes_f].any():
-            for b, ti in zip(lanes_f.tolist(), tasks_f.tolist()):
-                if ctx_lane[b]:
-                    sc = scenarios[b]
-                    ctx_finish[b][sc.task_ids[ti]] = float(finish[b, ti])
         active &= n_finished < n_tasks
         run_epoch_round()
 
@@ -651,8 +511,7 @@ def run_batch(
                 policy_name=getattr(pol, "name", type(pol).__name__),
                 n_packets=int(n_packets[b]),
                 task_processor=dict(zip(sc.task_ids, assigned[b, :nb].tolist())),
-                n_fallback_epochs=int(n_fallback[b]),
-                fidelity=fidelity,
+                fidelity="latency",
             )
         )
     return results

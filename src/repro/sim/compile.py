@@ -32,7 +32,6 @@ back to the object engine for anything else.
 
 from __future__ import annotations
 
-import os
 import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional
@@ -52,8 +51,6 @@ __all__ = [
     "stack_scenarios",
     "supports_comm_model",
     "scenario_cache_stats",
-    "scenario_cache_limit",
-    "set_scenario_cache_limit",
 ]
 
 TaskId = Hashable
@@ -71,28 +68,11 @@ def supports_comm_model(comm_model: CommunicationModel) -> bool:
 #: Compiled-scenario memo, keyed weakly by graph (entries die with the
 #: graph, and the graph object itself stays pickle-clean).  Each graph maps
 #: to an insertion-ordered ``{(model type, version, machine id): (machine,
-#: scenario)}`` dict bounded by the per-graph cache limit (FIFO eviction),
-#: so alternating machines or repeated mutation cannot grow it without
-#: bound.
+#: scenario)}`` dict of at most ``_SCENARIO_CACHE_PER_GRAPH`` entries (FIFO
+#: eviction), so alternating machines or repeated mutation cannot grow it
+#: without bound.
 _SCENARIO_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def _limit_from_env() -> int:
-    raw = os.environ.get("REPRO_SCENARIO_CACHE_PER_GRAPH", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 8
-    return value if value >= 1 else 8
-
-
-#: Per-graph entry bound of the scenario memo.  Batch jobs cycling many
-#: machines over one graph (e.g. a long-lived scheduling service) want a
-#: bigger bound than a paired sweep does; tune it with
-#: :func:`set_scenario_cache_limit` or the ``REPRO_SCENARIO_CACHE_PER_GRAPH``
-#: environment variable (read once at import, so service workers inherit it
-#: across both fork and spawn start methods).
-_SCENARIO_CACHE_PER_GRAPH = _limit_from_env()
+_SCENARIO_CACHE_PER_GRAPH = 8
 
 #: Process-wide memo counters.  Sweep workers snapshot them around each
 #: scenario so per-run (and per-worker-aggregate) compile reuse is
@@ -105,30 +85,9 @@ def scenario_cache_stats() -> Dict[str, int]:
     """A copy of this process's compiled-scenario memo counters.
 
     ``hits`` / ``misses`` count :func:`compile_scenario` lookups;
-    ``evictions`` counts entries dropped by the per-graph FIFO bound (see
-    :func:`set_scenario_cache_limit`).
+    ``evictions`` counts entries dropped by the per-graph FIFO bound.
     """
     return dict(_CACHE_STATS)
-
-
-def scenario_cache_limit() -> int:
-    """The current per-graph entry bound of the compiled-scenario memo."""
-    return _SCENARIO_CACHE_PER_GRAPH
-
-
-def set_scenario_cache_limit(limit: int) -> int:
-    """Set the per-graph entry bound of the compiled-scenario memo.
-
-    Returns the previous bound.  Existing over-bound entries are evicted
-    lazily on the next insertion for their graph.  The initial bound comes
-    from ``REPRO_SCENARIO_CACHE_PER_GRAPH`` (default 8).
-    """
-    global _SCENARIO_CACHE_PER_GRAPH
-    if limit < 1:
-        raise ValueError(f"scenario cache limit must be >= 1, got {limit}")
-    previous = _SCENARIO_CACHE_PER_GRAPH
-    _SCENARIO_CACHE_PER_GRAPH = int(limit)
-    return previous
 
 
 @dataclass
@@ -255,13 +214,9 @@ class CompiledScenario:
     pred_ids_list: List[int] = field(repr=False, default_factory=list)
     succ_indptr_list: List[int] = field(repr=False, default_factory=list)
     succ_ids_list: List[int] = field(repr=False, default_factory=list)
-    _wdistance: np.ndarray = field(repr=False, default=None)
-    _routing: np.ndarray = field(repr=False, default=None)
-    _setup: np.ndarray = field(repr=False, default=None)
     #: ``(n_edges, P, P)`` equation-4 cost tensor over predecessor-CSR entries
     #: (``None`` for the zero model).
     _pred_costs: Optional[np.ndarray] = field(repr=False, default=None)
-    _weight_tables: Dict[float, np.ndarray] = field(repr=False, default_factory=dict)
     _contention: Optional[ContentionTables] = field(repr=False, default=None)
 
     @property
@@ -273,23 +228,6 @@ class CompiledScenario:
         return self.machine.n_processors
 
     # ------------------------------------------------------------------ #
-    def cost_table(self, weight: float) -> np.ndarray:
-        """The dense ``(P, P)`` equation-4 cost table for edge weight *weight*.
-
-        Entry ``[u, v]`` equals ``comm_model.cost(machine, weight, u, v)``
-        bit for bit: built with the operation order of ``cost_row``
-        (``(weight * wdist + routing) + setup``), which mirrors the scalar
-        ``effective_comm_cost`` term by term.  Cached per distinct weight.
-        """
-        table = self._weight_tables.get(weight)
-        if table is None:
-            if not self.comm_enabled:
-                table = np.zeros((self.n_procs, self.n_procs), dtype=np.float64)
-            else:
-                table = (weight * self._wdistance + self._routing) + self._setup
-            self._weight_tables[weight] = table
-        return table
-
     def contention_tables(self) -> ContentionTables:
         """The machine's store-and-forward tables, compiled on first use.
 
@@ -308,27 +246,17 @@ class CompiledScenario:
             return None
         return self._pred_costs[e]
 
-    def edge_cost(self, e: int, src: int, dst: int) -> float:
-        """Scalar equation-4 cost of predecessor-CSR entry *e* from *src* to *dst*."""
-        if self._pred_costs is None:
-            return 0.0
-        p = self.n_procs
-        return self._pred_costs.item((e * p + src) * p + dst)
-
 
 def compile_scenario(
     graph: TaskGraph,
     machine: Machine,
     comm_model: CommunicationModel,
-    levels: Optional[Dict[TaskId, float]] = None,
 ) -> CompiledScenario:
     """Lower *graph* on *machine* under *comm_model* to a :class:`CompiledScenario`.
 
-    *levels* may be passed when the caller already computed them; otherwise
-    a memo miss computes them and a memo hit never needs them, so callers
-    should not compute levels just to pass them here.  Raises ``ValueError`` when
-    the communication model cannot be folded (check
-    :func:`supports_comm_model` first, or let the simulator fall back).
+    Raises ``ValueError`` when the communication model cannot be folded
+    (check :func:`supports_comm_model` first, or let the simulator fall
+    back).
     """
     if not supports_comm_model(comm_model):
         raise ValueError(
@@ -354,8 +282,7 @@ def compile_scenario(
     index_of = {t: i for i, t in enumerate(task_ids)}
     n = len(task_ids)
     durations_list = [graph._tasks[t].duration for t in task_ids]
-    if levels is None:
-        levels = graph.levels()
+    levels = graph.levels()
     levels_list = [levels[t] for t in task_ids]
 
     # CSR adjacency straight off the graph's insertion-ordered dicts.
@@ -394,7 +321,6 @@ def compile_scenario(
         # entry is bit-identical to the scalar cost.
         pred_costs = (weights_arr[:, None, None] * wdistance + routing) + setup
     else:
-        wdistance = routing = setup = np.zeros((n_procs, n_procs), dtype=np.float64)
         pred_costs = None
 
     scenario = CompiledScenario(
@@ -419,9 +345,6 @@ def compile_scenario(
         pred_ids_list=pred_ids_list,
         succ_indptr_list=succ_indptr_list,
         succ_ids_list=succ_ids_list,
-        _wdistance=wdistance,
-        _routing=routing,
-        _setup=setup,
         _pred_costs=pred_costs,
     )
     while len(cache) >= _SCENARIO_CACHE_PER_GRAPH:
@@ -505,17 +428,6 @@ class FastPacket:
         rows[nonempty] = np.maximum.reduceat(arrivals, offsets[nonempty], axis=0)
         return rows
 
-    def earliest_start_matrix(self) -> np.ndarray:
-        """The ``(n_ready, n_idle)`` earliest-start matrix of this epoch.
-
-        Entry ``[i, j]`` is the earliest time ``ready[i]`` could start on
-        ``idle[j]`` given the placements and finish times of its (already
-        finished) predecessors — the quantity ETF's reference path computes
-        one scalar at a time: ``max(epoch time, arrival row)``.
-        """
-        rows = self.arrival_rows(self.ready)[:, np.asarray(self.idle, dtype=np.intp)]
-        return np.maximum(rows, self.time)
-
 
 @dataclass
 class StackedScenarios:
@@ -537,7 +449,7 @@ class StackedScenarios:
       ``cost_flat`` vector.  ``cost_offset[g]`` is the base of predecessor
       entry *g*'s ``(P_b, P_b)`` table, so
       ``cost_flat[cost_offset[g] + src * n_procs[lane] + dst]`` reproduces
-      ``CompiledScenario.edge_cost`` bit for bit.  Entries of
+      ``CompiledScenario.pred_table(e)[src, dst]`` bit for bit.  Entries of
       zero-communication lanes point at a leading all-zero ``p_max**2``
       block, which lets the engine's gather run unmasked (``finish + 0.0``
       matches the solo engine's zero-model arithmetic exactly).
@@ -563,7 +475,6 @@ class StackedScenarios:
     succ_start: np.ndarray
     succ_count: np.ndarray
     succ_ids: np.ndarray
-    comm_on: np.ndarray
     cost_flat: np.ndarray
     _task_valid: Optional[np.ndarray] = field(repr=False, default=None)
     _proc_valid: Optional[np.ndarray] = field(repr=False, default=None)
@@ -593,22 +504,10 @@ class StackedScenarios:
 #: (e.g. timing repeats), and restacking is a large copy.  Keyed by the
 #: identity tuple of the member scenarios — the entry holds strong
 #: references to them, so the ids cannot be recycled while the entry lives —
-#: and FIFO-bounded like the per-graph scenario cache.  A long-lived
-#: service whose coalescer rotates among many batch compositions can widen
-#: the bound with ``REPRO_STACK_CACHE_SIZE`` (each entry pins its member
-#: scenarios, so the bound trades memory for restack copies).
+#: and FIFO-bounded like the per-graph scenario cache (each entry pins its
+#: member scenarios, so the bound trades memory for restack copies).
 _STACK_CACHE: Dict[tuple, StackedScenarios] = {}
-
-
-def _stack_size_from_env() -> int:
-    try:
-        value = int(os.environ.get("REPRO_STACK_CACHE_SIZE", ""))
-    except ValueError:
-        return 4
-    return value if value >= 1 else 4
-
-
-_STACK_CACHE_SIZE = _stack_size_from_env()
+_STACK_CACHE_SIZE = 4
 
 
 def stack_scenarios(scenarios: List["CompiledScenario"]) -> StackedScenarios:
@@ -642,7 +541,6 @@ def stack_scenarios(scenarios: List["CompiledScenario"]) -> StackedScenarios:
     pred_count = np.zeros((n_lanes, n_max), dtype=np.intp)
     succ_start = np.zeros((n_lanes, n_max), dtype=np.intp)
     succ_count = np.zeros((n_lanes, n_max), dtype=np.intp)
-    comm_on = np.array([sc.comm_enabled for sc in scenarios], dtype=bool)
 
     # Shared flat blocks, deduplicated by scenario identity.  The zero block
     # at the head of ``cost_flat`` serves every zero-communication entry.
@@ -704,7 +602,6 @@ def stack_scenarios(scenarios: List["CompiledScenario"]) -> StackedScenarios:
         succ_ids=(
             np.concatenate(succ_parts) if succ_parts else np.empty(0, dtype=np.intp)
         ).astype(np.intp, copy=False),
-        comm_on=comm_on,
         # The trailing zero block keeps full-width row gathers
         # (``base + arange(p_max)``) in bounds for the narrowest lane's last
         # cost row without clamping; gathered pad columns are never read.

@@ -40,6 +40,10 @@ differential tests pin that contract for both fidelities.
 without trace recording whenever the communication model folds into tables,
 and falls back to the object engine otherwise (``fast=True`` forces the
 fast path, e.g. to record an equivalence trace; ``fast=False`` opts out).
+Groups of cells go through :func:`repro.sim.batch_engine.run_lanes`, which
+runs every lane it does not step in lock step here — so this module holds
+the compiled engines' only context fallback and their only
+store-and-forward hop loop.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from repro.sim.message import MessageRecord
 from repro.sim.results import SimulationResult
 from repro.sim.trace import ExecutionTrace, OverheadRecord, TaskRecord
 
-__all__ = ["FIDELITIES", "run_compiled", "run_lanes"]
+__all__ = ["FIDELITIES", "run_compiled"]
 
 TaskId = Hashable
 ProcId = int
@@ -106,44 +110,18 @@ def _validate_fast_assignment(
         seen.add(proc)
 
 
-def run_lanes(
-    lanes: List[tuple],
-    fidelity: str = "latency",
-) -> List[SimulationResult]:
-    """Run a group of ``(scenario, policy)`` lanes, batched when it pays.
-
-    The lane dispatcher between the two compiled engines: a single lane has
-    nothing to amortize and runs through :func:`run_compiled` (the solo
-    fallback — also the reference each batched lane is bit-identical to);
-    larger groups go to the lock-step batched engine
-    (:func:`~repro.sim.batch_engine.run_batch`).  As with
-    :func:`run_compiled`, the caller is responsible for ``policy.reset()``
-    and graph validation.
-    """
-    if not lanes:
-        return []
-    if len(lanes) == 1:
-        scenario, policy = lanes[0]
-        return [run_compiled(scenario, policy, fidelity=fidelity)]
-    from repro.sim.batch_engine import run_batch
-
-    return run_batch(lanes, fidelity=fidelity)
-
-
 def run_compiled(
     scenario: CompiledScenario,
     policy: SchedulingPolicy,
-    levels: Optional[Dict[TaskId, float]] = None,
     record_trace: bool = False,
     fidelity: str = "latency",
 ) -> SimulationResult:
     """Execute *scenario* under *policy* and return a :class:`SimulationResult`.
 
     The caller (normally :class:`~repro.sim.engine.Simulator`) is responsible
-    for ``policy.reset()`` and graph validation.  *levels* is the id-keyed
-    level mapping for the object-path fallback context; recomputed when
-    omitted.  *fidelity* selects the latency or the store-and-forward
-    contention message model (see module docstring).
+    for ``policy.reset()`` and graph validation.  *fidelity* selects the
+    latency or the store-and-forward contention message model (see module
+    docstring).
     """
     if fidelity not in FIDELITIES:
         raise SimulationError(f"fidelity must be one of {FIDELITIES}, got {fidelity!r}")
@@ -215,6 +193,7 @@ def run_compiled(
     ctx_task_processor: Dict[TaskId, ProcId] = {}
     ctx_finish: Dict[TaskId, float] = {}
     ctx_proc_ready: Dict[ProcId, float] = {p: 0.0 for p in range(n_procs)}
+    levels: Optional[Dict[TaskId, float]] = None  # graph.levels(), on first use
 
     # ``assigned``/``finish`` are plain lists for the scalar hot path; the
     # index-space kernels read these array aliases.

@@ -90,7 +90,7 @@ from repro.schedulers.base import PacketContext, SchedulingPolicy
 from repro.schedulers.hlf import HLFScheduler
 from repro.sim.compile import FastPacket, compile_scenario
 from repro.sim.engine import simulate
-from repro.sim.fast_engine import run_lanes
+from repro.sim.batch_engine import run_lanes
 from repro.taskgraph.families import build_family
 from repro.taskgraph.generators import layered_random, random_dag
 from repro.taskgraph.graph import TaskGraph
@@ -972,7 +972,7 @@ def _one_idle_epoch(graph, ready, placed, machine=None):
     """A hand-built one-idle fast-engine epoch: *ready* task ids waiting for
     processor 3, the tasks of *placed* (id -> processor) finished."""
     machine = machine or Machine.hypercube(3)
-    sc = compile_scenario(graph, machine, LinearCommModel(), levels=graph.levels())
+    sc = compile_scenario(graph, machine, LinearCommModel())
     assigned = np.full(sc.n_tasks, -1, dtype=np.int64)
     for task, p in placed.items():
         assigned[sc.index_of[task]] = p
@@ -1298,7 +1298,7 @@ class TestSAFastPath:
             assert run(graph, reused, fidelity) == run(graph, fresh(), fidelity)
 
         comm = LinearCommModel()
-        scenarios = [compile_scenario(g, hypercube8, comm, levels=g.levels())
+        scenarios = [compile_scenario(g, hypercube8, comm)
                      for g in (graph_a, graph_b)]
         reused.reset()
         lanes = run_lanes([(scenarios[0], reused), (scenarios[1], fresh())])

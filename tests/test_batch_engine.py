@@ -1,21 +1,22 @@
-"""The batched lane engine: lane-wise bit-identity with the solo fast engine.
+"""The lane engine: lane-wise bit-identity with the solo fast engine.
 
-The batch engine's contract is that every lane of a lock-step run is
-**bit-identical** to a solo :func:`run_compiled` run of the same cell; these
-tests pin it four ways:
+The lane engine's contract is that every lane of a :func:`run_lanes` call
+is **bit-identical** to a solo :func:`run_compiled` run of the same cell;
+these tests pin it five ways:
 
 * differentially under hypothesis — batches of 2-5 mixed lanes (random
   graphs and workload-zoo families × homogeneous and heterogeneous machines
   × every kernelized policy × comm on/off), raw fingerprint equality per
   lane at both fidelities;
 * structurally — lane-count dispatch (B ∈ {1, 3, 8}), ragged lane shapes,
-  mixed-policy batches, SA lanes, and the per-lane materialized-context
-  fallback (``n_fallback_epochs`` parity with the solo engine);
+  mixed-policy batches, SA lanes, and context-only lanes
+  (``n_fallback_epochs`` parity with the solo engine);
+* by routing — which lanes step in lock step and which run solo
+  (:class:`TestLaneRouting`);
 * defensively — the batched kernel validator rejects malformed
   ``batch_assign`` triples with :class:`SchedulingError`;
 * at the API surface — empty lane lists and the bad-fidelity guard of
-  :func:`run_batch`, :func:`run_lanes` (one lane and two) and
-  :func:`run_compiled`.
+  :func:`run_lanes` (one lane and two) and :func:`run_compiled`.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from repro.schedulers.fifo import FIFOScheduler
 from repro.schedulers.hlf import HLFScheduler
 from repro.schedulers.lpt import LPTScheduler
 from repro.schedulers.random_policy import RandomScheduler
-from repro.sim.batch_engine import run_batch
+from repro.sim.batch_engine import run_lanes
 from repro.sim.compile import compile_scenario
-from repro.sim.fast_engine import run_compiled, run_lanes
+from repro.sim.fast_engine import run_compiled
 from repro.taskgraph.families import FAMILIES
 from repro.taskgraph.generators import layered_random, random_dag
 from repro.taskgraph.graph import TaskGraph
@@ -75,7 +76,7 @@ _MACHINES = [
 
 def _compile_cell(graph, machine, comm_model):
     graph.validate()
-    return compile_scenario(graph, machine, comm_model, levels=graph.levels())
+    return compile_scenario(graph, machine, comm_model)
 
 
 def _solo_and_batched(cells, fidelity="latency"):
@@ -90,7 +91,7 @@ def _solo_and_batched(cells, fidelity="latency"):
         policy = factory()
         policy.reset()
         lanes.append((scenario, policy))
-    return solo, run_batch(lanes, fidelity=fidelity)
+    return solo, run_lanes(lanes, fidelity=fidelity)
 
 
 def _assert_lanes_identical(solo, batched):
@@ -254,7 +255,7 @@ class TestLaneStructure:
             _assert_lanes_identical(solo, batched)
 
     def test_sa_lanes_match_solo(self):
-        """SA rides per lane (plan precomputed at reset) yet stays identical."""
+        """SA lanes (no batch kernel) run solo inside the call, identically."""
         cells = _dag_cells(
             3, lambda: SAScheduler(SAConfig.paper_defaults(seed=2))
         )
@@ -263,7 +264,7 @@ class TestLaneStructure:
 
 
 # --------------------------------------------------------------------------- #
-# Per-lane materialized-context fallback
+# Context-only lanes (solo runs inside the call)
 # --------------------------------------------------------------------------- #
 
 
@@ -291,6 +292,99 @@ class TestFallback:
         _, batched = _solo_and_batched(cells)
         for result in batched:
             assert result.n_fallback_epochs == 0
+
+
+# --------------------------------------------------------------------------- #
+# Lane routing: lock step or solo, decided per lane
+# --------------------------------------------------------------------------- #
+
+
+class _DecliningKernel(_CtxOnlyPolicy):
+    """A batch kernel that always declines, over a policy with no fast path."""
+
+    name = "declining-kernel"
+
+    def batch_assign(self, epoch, policies):
+        return None
+
+
+def _spy_stack(monkeypatch):
+    """Record the scenario ids of every ``stack_scenarios`` call."""
+    import repro.sim.batch_engine as batch_module
+
+    stacked = []
+    real = batch_module.stack_scenarios
+
+    def spy(scenarios):
+        stacked.append([id(sc) for sc in scenarios])
+        return real(scenarios)
+
+    monkeypatch.setattr(batch_module, "stack_scenarios", spy)
+    return stacked
+
+
+class TestLaneRouting:
+    def test_latency_call_steps_only_kernel_lanes(self, monkeypatch):
+        """HLF and ETF step together; SA and context-only lanes run solo."""
+        factories = [
+            lambda: HLFScheduler(seed=0),
+            lambda: SAScheduler(SAConfig.paper_defaults(seed=1)),
+            lambda: ETFScheduler(),
+            lambda: _CtxOnlyPolicy(),
+            lambda: SAScheduler(SAConfig.paper_defaults(seed=2)),
+        ]
+        scenarios = [scenario for scenario, _ in _dag_cells(5, None)]
+        stacked = _spy_stack(monkeypatch)
+        solo, lanes = _solo_and_batched(list(zip(scenarios, factories)))
+        _assert_lanes_identical(solo, lanes)
+        assert [r.policy_name for r in lanes] == [r.policy_name for r in solo]
+        assert stacked == [[id(scenarios[0]), id(scenarios[2])]]
+
+    def test_contention_call_never_stacks(self, monkeypatch):
+        cells = _dag_cells(3, lambda: ETFScheduler())
+        stacked = _spy_stack(monkeypatch)
+        solo, lanes = _solo_and_batched(cells, fidelity="contention")
+        _assert_lanes_identical(solo, lanes)
+        assert [r.fidelity for r in lanes] == ["contention"] * 3
+        assert stacked == []
+
+    def test_lone_kernel_lane_runs_solo(self, monkeypatch):
+        cells = _dag_cells(2, lambda: HLFScheduler(seed=0))
+        cells[1] = (cells[1][0], lambda: _CtxOnlyPolicy())
+        stacked = _spy_stack(monkeypatch)
+        solo, lanes = _solo_and_batched(cells)
+        _assert_lanes_identical(solo, lanes)
+        assert stacked == []
+
+    def test_kernel_and_fast_path_both_declining_raises(self):
+        cells = _dag_cells(2, lambda: _DecliningKernel())
+        lanes = [(scenario, factory()) for scenario, factory in cells]
+        with pytest.raises(SimulationError, match="declining-kernel"):
+            run_lanes(lanes)
+        # One such lane runs solo, where the context fallback serves it.
+        [result] = run_lanes([(cells[0][0], _DecliningKernel())])
+        assert result.n_fallback_epochs > 0
+
+    def test_declining_cell_steps_down_to_its_solo_row(self, monkeypatch):
+        from repro.experiments import sweep
+
+        monkeypatch.setitem(
+            sweep.POLICY_BUILDERS, "declining", lambda seed: _DecliningKernel()
+        )
+        specs = [
+            {"policy": "declining", "machine": "hypercube8", "family": "dag",
+             "graph_seed": seed, "policy_seed": seed, "with_comm": True,
+             "fidelity": "latency"}
+            for seed in (0, 1)
+        ]
+        rows = sweep.run_lane_group([dict(spec) for spec in specs])
+        for spec, row in zip(specs, rows):
+            expected = sweep.run_scenario(dict(spec))
+            for key in sweep.SCIENCE_FIELDS:
+                assert row.get(key) == expected.get(key), key
+            assert row["engine_used"] == "fast"
+            assert row["lane_fallback"]["error_type"] == "SimulationError"
+            assert "declining-kernel" in row["lane_fallback"]["error"]
 
 
 # --------------------------------------------------------------------------- #
@@ -346,7 +440,7 @@ class TestKernelValidation:
         scenario = _compile_cell(graph, Machine.hypercube(2), LinearCommModel())
         lanes = [(scenario, _BrokenKernel(mode)), (scenario, _BrokenKernel(mode))]
         with pytest.raises(SchedulingError, match=match):
-            run_batch(lanes)
+            run_lanes(lanes)
 
 
 # --------------------------------------------------------------------------- #
@@ -357,14 +451,15 @@ class TestKernelValidation:
 class TestLaneApi:
     def test_empty_cells(self):
         assert run_lanes([]) == []
-        assert run_batch([]) == []
 
     def test_bad_fidelity_rejected(self):
         graph = _two_roots_graph()
         scenario = _compile_cell(graph, Machine.hypercube(2), LinearCommModel())
         with pytest.raises(SimulationError, match="fidelity"):
-            run_batch([(scenario, HLFScheduler(seed=0))], fidelity="exact")
-        # One lane goes straight to the solo engine, which checks too.
+            run_lanes(
+                [(scenario, HLFScheduler(seed=0)), (scenario, HLFScheduler(seed=0))],
+                fidelity="exact",
+            )
         with pytest.raises(SimulationError, match="fidelity"):
             run_lanes([(scenario, HLFScheduler(seed=0))], fidelity="exact")
         with pytest.raises(SimulationError, match="fidelity"):

@@ -30,7 +30,7 @@ from repro.core.config import SAConfig
 from repro.core.sa_scheduler import SAScheduler
 from repro.machine.machine import Machine
 from repro.schedulers.etf import ETFScheduler
-from repro.sim.batch_engine import run_batch
+from repro.sim.batch_engine import run_lanes
 from repro.sim.compile import compile_scenario
 from repro.sim.engine import simulate
 from repro.sim.fast_engine import run_compiled
@@ -176,7 +176,7 @@ class TestEngineEquivalence:
         machine = _MACHINES[machine_kind]()
         comm = LinearCommModel()
         graph.validate()
-        scenario = compile_scenario(graph, machine, comm, levels=graph.levels())
+        scenario = compile_scenario(graph, machine, comm)
         for fidelity in ("latency", "contention"):
             obj = simulate(
                 graph, machine, ETFScheduler(), comm_model=comm,
@@ -186,7 +186,7 @@ class TestEngineEquivalence:
                 graph, machine, ETFScheduler(), comm_model=comm,
                 fidelity=fidelity, record_trace=False, fast=True,
             )
-            [batched] = run_batch([(scenario, ETFScheduler())], fidelity=fidelity)
+            [batched] = run_lanes([(scenario, ETFScheduler())], fidelity=fidelity)
             assert obj.fingerprint() == fast.fingerprint(), f"{key}/{fidelity}"
             assert fast.fingerprint() == batched.fingerprint(), f"{key}/{fidelity}"
             assert obj.task_processor == batched.task_processor
@@ -201,9 +201,9 @@ class TestEngineEquivalence:
             graph = FAMILIES[key].build(seed=i)
             graph.validate()
             machine = machines[i % 2]
-            scenario = compile_scenario(graph, machine, comm, levels=graph.levels())
+            scenario = compile_scenario(graph, machine, comm)
             lanes.append((scenario, ETFScheduler()))
-        batched = run_batch(
+        batched = run_lanes(
             [(s, ETFScheduler()) for s, _ in lanes], fidelity=fidelity
         )
         for (scenario, _), result in zip(lanes, batched):

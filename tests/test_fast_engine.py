@@ -327,30 +327,30 @@ class TestCompiledScenario:
         lambda: Machine.ring(5, speeds=[1, 2, 1, 3, 1],
                              link_weights={(0, 1): 2.5, (2, 3): 0.5}),
     ])
-    def test_cost_tables_match_scalar_equation4(self, diamond_graph, machine_factory):
+    def test_cost_tables_match_scalar_equation4(self, machine_factory):
         machine = machine_factory()
         model = LinearCommModel()
-        sc = compile_scenario(diamond_graph, machine, model)
-        for weight in (0.0, 0.5, 1.0, 7.25):
-            table = sc.cost_table(weight)
+        weights = (0.0, 0.5, 1.0, 7.25)
+        graph = TaskGraph("fan-in")
+        graph.add_task("sink", 1.0)
+        for k, weight in enumerate(weights):
+            graph.add_task(f"src{k}", 1.0)
+            graph.add_dependency(f"src{k}", "sink", comm=weight)
+        sc = compile_scenario(graph, machine, model)
+        sink = sc.index_of["sink"]
+        entries = range(int(sc.pred_indptr[sink]), int(sc.pred_indptr[sink + 1]))
+        assert sorted(float(sc.pred_weights[e]) for e in entries) == list(weights)
+        for e in entries:
+            weight = float(sc.pred_weights[e])
+            table = sc.pred_table(e)
             for u in range(machine.n_processors):
                 for v in range(machine.n_processors):
                     assert table[u, v] == model.cost(machine, weight, u, v)
 
-    def test_edge_cost_matches_scalar_model(self, diamond_graph, hypercube8):
-        model = LinearCommModel()
-        sc = compile_scenario(diamond_graph, hypercube8, model)
-        d = sc.index_of["d"]
-        e = int(sc.pred_indptr[d])  # edge b -> d, weight 0.5
-        for u in range(8):
-            for v in range(8):
-                assert sc.edge_cost(e, u, v) == model.cost(hypercube8, 0.5, u, v)
-
     def test_zero_model_costs_are_free(self, diamond_graph, hypercube8):
         sc = compile_scenario(diamond_graph, hypercube8, ZeroCommModel())
         assert not sc.comm_enabled
-        assert sc.edge_cost(0, 0, 5) == 0.0
-        assert not sc.cost_table(3.0).any()
+        assert sc.pred_table(0) is None
 
     def test_rejects_custom_comm_model(self, diamond_graph, hypercube8):
         with pytest.raises(ValueError, match="fold"):

@@ -17,8 +17,11 @@ The service's contract has three legs, each tested here:
 
 from __future__ import annotations
 
+import gc
 import json
+import logging
 import socket
+import warnings
 
 import pytest
 
@@ -490,3 +493,25 @@ class TestFaultTolerance:
         assert row["makespan"] == direct["makespan"]
         assert row["fingerprint"] == direct["fingerprint"]
         assert stats["workers"]["n"] == 0
+
+
+class TestShutdown:
+    def test_close_ends_live_client_handlers(self, caplog):
+        """A client holding a half-sent request open while the service shuts
+        down: its handler is cancelled and awaited, not destroyed with the
+        event loop."""
+        # Routine loop events (the selector, "is serving") log below WARNING.
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with serve_in_thread(ServiceConfig(workers=0)) as (host, port):
+                stalled = socket.create_connection((host, port))
+                stalled.sendall(b'{"id": 1, "op": "ping"')
+                # Connections are accepted in order, so once a later client
+                # is answered the stalled one's handler is live.
+                with ServiceClient(host, port) as client:
+                    assert client.ping()
+            gc.collect()
+        stalled.close()
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []

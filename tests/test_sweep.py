@@ -489,6 +489,34 @@ class TestLanePlan:
         assert max(runtime["HLF"] | runtime["ETF"]) < 0.1
 
 
+class TestLaneGroupSpecs:
+    """run_lane_group answers each spec with its own cell, whatever the mix."""
+
+    @staticmethod
+    def _assert_rows_match_solo(specs):
+        rows = run_lane_group([dict(spec) for spec in specs])
+        for spec, row in zip(specs, rows):
+            expected = run_scenario(dict(spec))
+            for key in SCIENCE_FIELDS:
+                assert row.get(key) == expected.get(key), (spec, key)
+        return rows
+
+    def test_ineligible_spec_runs_alone(self):
+        plain = _spec(0, family="dag", policy="SA")
+        replicated = dict(plain, replicas=4)
+        rows = self._assert_rows_match_solo([plain, replicated])
+        assert rows[0]["engine_used"] == "batched"
+        assert rows[1]["engine_used"] == "fast"
+
+    def test_fidelities_never_share_a_call(self, monkeypatch):
+        latency = _spec(1, family="dag")
+        contention = dict(_spec(0, family="dag"), fidelity="contention")
+        calls = _spy_run_lanes(monkeypatch)
+        rows = self._assert_rows_match_solo([latency, contention])
+        assert [n for _kinds, n in calls] == [1, 1]
+        assert [row["fidelity"] for row in rows] == ["latency", "contention"]
+
+
 class TestLevelsOnMemoHit:
     def test_memo_hit_cells_never_compute_levels(self, monkeypatch):
         """Task levels feed only a compile miss, so a memo-hit cell skips them
