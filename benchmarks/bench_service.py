@@ -2,8 +2,8 @@
 
 The service (``src/repro/service/``) keeps its pool workers **persistent**
 so compiled scenarios stay cached across requests, shards jobs to workers
-by (graph, machine) affinity, and coalesces compatible concurrent jobs into
-single batched B-lane engine calls.  This load generator prices all three
+by (graph, machine) affinity, and sends each job to its worker alone, the
+moment the worker is free.  This load generator prices that design
 against the naive server model it replaces: fork a fresh process per
 request (cold caches, full interpreter + import tax each time) with the
 same worker concurrency.
@@ -47,8 +47,8 @@ from repro.service.protocol import encode_message
 REPO_ROOT = Path(__file__).parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_service.json"
 
-#: CI floor: the warm coalescing service must deliver at least 3x the
-#: jobs/sec of the one-process-per-request baseline at equal concurrency.
+#: CI floor: the warm service must deliver at least 3x the jobs/sec of the
+#: one-process-per-request baseline at equal concurrency.
 MIN_SPEEDUP = 3.0
 
 #: Requests queued against the service; CI may shrink via the environment.
@@ -75,10 +75,10 @@ _NAIVE_WORKER = (
 def _job_mix(n: int):
     """A request stream with realistic repetition: a bounded scenario pool.
 
-    Rotates policies (SA included — annealing jobs are the coalescer's
-    main win), machines and graph seeds over small graph families, with
-    policy seeds cycling so repeated (graph, machine) pairs exercise the
-    affinity shards' warm caches the way a real client population would.
+    Rotates policies (SA included), machines and graph seeds over small
+    graph families, with policy seeds cycling so repeated (graph, machine)
+    pairs exercise the affinity shards' warm caches the way a real client
+    population would.
     """
     policies = ("HLF", "ETF", "SA")
     machines = ("hypercube8", "ring9")
@@ -204,7 +204,7 @@ def _preforked_jobs_per_sec(jobs) -> float:
 @pytest.mark.benchmark(group="service")
 def test_service_throughput_vs_fork_per_request(benchmark, save_artifact):
     jobs = _job_mix(N_JOBS)
-    config = ServiceConfig(workers=WORKERS, batch=32, window_ms=2.0)
+    config = ServiceConfig(workers=WORKERS)
 
     with serve_in_thread(config) as (host, port):
         # Warm pass: fill the per-worker scenario memos the way a live
@@ -222,8 +222,8 @@ def test_service_throughput_vs_fork_per_request(benchmark, save_artifact):
         "benchmark": "bench_service",
         "scenario": (
             f"{N_JOBS} pipelined jobs (HLF/ETF/SA x hypercube8/ring9 x "
-            f"grid/layered) against a warm {WORKERS}-worker coalescing "
-            f"service (batch 32, 2ms window) vs one-process-per-request "
+            f"grid/layered) against a warm {WORKERS}-worker service, one "
+            f"job per worker round trip, vs one-process-per-request "
             f"at equal concurrency ({N_NAIVE}-job naive sample, "
             f"{N_PREFORKED}-job preforked sample)"
         ),
@@ -250,7 +250,7 @@ def test_service_throughput_vs_fork_per_request(benchmark, save_artifact):
     BENCH_JSON.write_text(json.dumps(payload, indent=1) + "\n")
 
     lines = [
-        "Service benchmark: coalescing warm-cache server vs process-per-request",
+        "Service benchmark: warm-cache server vs process-per-request",
         payload["scenario"],
         "",
         f"service      {measured['jobs_per_sec']:>10.1f} jobs/s  "
@@ -259,9 +259,7 @@ def test_service_throughput_vs_fork_per_request(benchmark, save_artifact):
         f"preforked    {preforked_jps:>10.1f} jobs/s (warm fork per request)",
         f"speedup      {speedup:>10.2f}x vs naive (floor {MIN_SPEEDUP}x), "
         f"{preforked_speedup:.2f}x vs preforked",
-        f"coalescing   mean batch {stats['coalescing']['mean_batch']:.2f}, "
-        f"max {stats['coalescing']['max_batch']}, "
-        f"{stats['coalescing']['coalesced_jobs']} jobs coalesced",
+        f"dispatches   {stats['coalescing']['batches']}, one job each",
         f"affinity     hit rate {stats['affinity']['hit_rate']:.3f}",
         f"cache        {stats['compile_cache']['hits']} hits / "
         f"{stats['compile_cache']['misses']} misses / "
@@ -271,8 +269,8 @@ def test_service_throughput_vs_fork_per_request(benchmark, save_artifact):
     print("\n".join(lines))
 
     # The design's three claims, asserted from the measured counters.
-    assert stats["coalescing"]["coalesced_jobs"] > 0, "no jobs were coalesced"
-    assert stats["coalescing"]["max_batch"] > 1, "no batched lane group formed"
+    assert stats["coalescing"]["coalesced_jobs"] == 0, "jobs shared a dispatch"
+    assert stats["coalescing"]["mean_batch"] == 1.0, "a dispatch held != 1 job"
     assert stats["affinity"]["hit_rate"] > 0.5, (
         "affinity routing failed to keep repeat scenarios on warm workers"
     )

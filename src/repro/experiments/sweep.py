@@ -603,9 +603,8 @@ def run_lane_group(specs: List[dict]) -> List[dict]:
     """Run a chunk of scenario specs as batched-engine calls.
 
     The lane counterpart of :func:`run_scenario` (the pool worker behind
-    ``--lanes`` and the service's coalesced batches): the
-    :func:`lane_eligible` specs of each policy and fidelity run on the
-    ladder's batched rung (:func:`_run_cells`) as one
+    ``--lanes``): the :func:`lane_eligible` specs of each policy and
+    fidelity run on the ladder's batched rung (:func:`_run_cells`) as one
     :func:`~repro.sim.batch_engine.run_lanes` call, and every other spec
     runs alone through :func:`run_scenario`.  Each row is bit-identical to
     the one :func:`run_scenario` would have produced.
@@ -627,10 +626,9 @@ def run_lane_group(specs: List[dict]) -> List[dict]:
 
 
 def lane_eligible(spec: dict) -> bool:
-    """Whether a cell may ride a batched lane call (sweep items, service jobs).
+    """Whether a sweep cell may ride a batched lane call.
 
-    Replica and portfolio cells run solo: each is already an internal batch,
-    and a portfolio job's progress stream must attribute to one job.
+    Replica and portfolio cells run solo: each is already an internal batch.
     ``fast=False`` pins the object engine, which has no lane path.  A laned
     cell steps in lock step only at the latency fidelity with a policy that
     has a ``batch_assign`` kernel; a laned SA or contention cell runs solo

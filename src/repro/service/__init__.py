@@ -7,7 +7,7 @@ newline-delimited JSON jobs — (task graph, machine, policy, config) tuples —
 and answers with the same science rows (and optional placement fingerprints)
 a direct :func:`repro.sim.engine.simulate` call would produce, bit-identical.
 
-Three mechanisms make the server fast where one-process-per-request is slow:
+Two mechanisms make the server fast where one-process-per-request is slow:
 
 * **Persistent workers** — the supervised pool workers of
   :mod:`repro.experiments.supervisor` are kept alive across requests, so
@@ -17,11 +17,10 @@ Three mechanisms make the server fast where one-process-per-request is slow:
   of their (graph, machine) identity (:func:`repro.service.jobs.affinity_key`),
   so repeat scenarios land on the worker that already compiled them; the
   server's ``stats`` op proves the hit rate climbs as the cache warms.
-* **Request coalescing** — compatible concurrent jobs queued for the same
-  worker are flushed (on batch size or a small time window) as **one**
-  lane-group item (:func:`repro.experiments.sweep.run_lane_group`), which
-  runs one lock-step batched call per policy, so ten concurrent SA jobs
-  cost one batched run, not ten solos.
+
+A job goes to its worker the moment that worker is idle, one job per
+round trip, and runs there as one
+:func:`repro.experiments.sweep.run_scenario` call.
 
 Workers that die mid-job are respawned and their jobs retried transparently;
 malformed requests get structured errors from the :mod:`repro.exceptions`
@@ -37,7 +36,7 @@ from repro.service.protocol import (
     job_to_spec,
     ok_response,
 )
-from repro.service.jobs import affinity_key, coalesce_key, lane_eligible
+from repro.service.jobs import affinity_key
 from repro.service.server import SchedulerService, ServiceConfig, serve_in_thread
 from repro.service.client import ServiceClient
 
@@ -50,8 +49,6 @@ __all__ = [
     "job_to_spec",
     "ok_response",
     "affinity_key",
-    "coalesce_key",
-    "lane_eligible",
     "SchedulerService",
     "ServiceConfig",
     "serve_in_thread",

@@ -32,14 +32,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent pool workers (0 = inline debug mode)",
     )
     parser.add_argument(
-        "--batch", type=int, default=8,
-        help="coalescing flush size: queued compatible jobs per lane-group call",
-    )
-    parser.add_argument(
-        "--window-ms", type=float, default=2.0,
-        help="coalescing window: max milliseconds a queued job waits for company",
-    )
-    parser.add_argument(
         "--retries", type=int, default=2,
         help="re-dispatches after a worker death before a job is failed",
     )
@@ -83,8 +75,6 @@ def main(argv=None) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        batch=args.batch,
-        window_ms=args.window_ms,
         retries=args.retries,
         limits=RequestLimits(max_tasks=args.max_tasks),
         maxtasksperchild=args.maxtasksperchild,

@@ -165,10 +165,10 @@ def job_to_spec(
 ) -> dict:
     """Validate a ``simulate`` job and lower it to a sweep scenario spec.
 
-    The returned spec runs through the exact worker entrypoints the sweep
-    uses (:func:`repro.experiments.sweep.run_scenario` /
-    :func:`run_lane_group`), which is what keeps service responses
-    bit-identical to direct simulation.  Raises :class:`ProtocolError` for
+    The returned spec runs through the exact worker entrypoint the sweep
+    uses (:func:`repro.experiments.sweep.run_scenario`), which is what
+    keeps service responses bit-identical to direct simulation.  Raises
+    :class:`ProtocolError` for
     shape violations and :class:`ConfigurationError` for unknown registry
     names, mirroring the rest of the taxonomy.
     """

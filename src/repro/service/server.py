@@ -14,27 +14,26 @@ Request flow for a ``simulate`` job:
 2. it is routed to the worker its :func:`~repro.service.jobs.affinity_key`
    hashes to, so repeats of a (graph, machine) pair reuse that worker's
    compiled-scenario memo;
-3. it waits in that worker's queue until the **coalescer** flushes — at
-   batch size ``batch`` or after ``window_ms`` — and compatible queued jobs
-   leave as *one* :func:`~repro.experiments.sweep.run_lane_group` item
-   (one batched engine call per policy); incompatible jobs run solo via
-   :func:`~repro.experiments.sweep.run_scenario`;
-4. the reply rows are matched back to their requests and written to each
-   client, bit-identical to direct :func:`repro.sim.engine.simulate` calls.
+3. it joins that worker's FIFO queue and goes to the worker the moment the
+   worker is idle, one job per round trip, as one
+   :func:`~repro.experiments.sweep.run_scenario` item; each reply
+   dispatches the next queued job;
+4. the reply row is written to the client, bit-identical to a direct
+   :func:`~repro.experiments.sweep.run_scenario` call.
 
 A ``submit`` job takes the same path but detached from its client: the
-server answers immediately with a ``job_id``, runs the job **solo** (never
-coalesced, so the worker's anytime progress stream attributes to exactly one
-job), and parks the outcome in a bounded in-memory registry that ``poll``
-reads — including the per-packet ``best_so_far`` snapshots an SA portfolio
-run streams up the worker pipe while it anneals.
+server answers immediately with a ``job_id`` and parks the outcome in a
+bounded in-memory registry that ``poll`` reads — including the per-packet
+``best_so_far`` snapshots an SA portfolio run streams up the worker pipe
+while it anneals (a worker runs one job at a time, so every snapshot
+belongs to the job in flight).
 
-A worker that dies mid-batch is respawned and its jobs are requeued
-transparently (bounded by ``retries``); jobs that exhaust their attempts get
-a structured ``WorkerError`` response.  The ``stats`` op exposes the
-counters that prove the design: coalescing batch sizes, affinity hit rates,
-aggregated compile-cache traffic across workers, and worker lifecycle
-events.
+A worker that dies mid-job is respawned and its job is requeued at the
+head of the queue transparently (bounded by ``retries``); a job that
+exhausts its attempts gets a structured ``WorkerDeath`` response.  The
+``stats`` op exposes the counters that prove the design: dispatches,
+affinity hit rates, aggregated compile-cache traffic across workers, and
+worker lifecycle events.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, List, Optional, Set, Tuple
 
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.experiments import sweep as sweep_module
@@ -64,21 +63,20 @@ _HANG_UP_DRAIN_S = 2.0
 
 @dataclass
 class ServiceConfig:
-    """How the scheduling server listens, shards, coalesces, and retries."""
+    """How the scheduling server listens, shards and retries."""
 
     host: str = "127.0.0.1"
     #: TCP port; 0 asks the OS for a free port (read it back from
     #: :attr:`SchedulerService.address` after :meth:`~SchedulerService.start`).
     port: int = 0
     #: Persistent pool workers.  0 = inline debug mode: jobs run in the
-    #: server process (through a thread executor) with no sharding or
-    #: coalescing — protocol-identical, perf-irrelevant.
+    #: server process (through a thread executor) with no sharding —
+    #: protocol-identical, perf-irrelevant.
     workers: int = 2
-    #: Coalescing flush size: a worker queue holding this many compatible
-    #: jobs flushes immediately as one batched lane-group call.
+    #: Read by nothing: each job goes to its worker alone.  Kept, with
+    #: ``window_ms``, because ``perfbench/workloads.py`` still passes both.
     batch: int = 8
-    #: Coalescing time window in milliseconds: the longest a queued job
-    #: waits for company before flushing anyway.
+    #: Read by nothing (see ``batch``).
     window_ms: float = 2.0
     #: Re-dispatches after a worker death (0 = fail jobs on first death).
     retries: int = 2
@@ -92,12 +90,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {self.workers}")
-        if self.batch < 1:
-            raise ConfigurationError(f"batch must be >= 1, got {self.batch}")
-        if self.window_ms < 0:
-            raise ConfigurationError(
-                f"window_ms must be >= 0, got {self.window_ms}"
-            )
         if self.retries < 0:
             raise ConfigurationError(f"retries must be >= 0, got {self.retries}")
 
@@ -106,14 +98,10 @@ class _Job:
     """One in-flight ``simulate``/``submit`` request and its retry state.
 
     A ``submit`` job carries its registry ``job_id`` instead of answering a
-    waiting client; it is never lane-coalesced, so the anytime progress its
-    worker streams is unambiguous about which job it describes.
+    waiting client.
     """
 
-    __slots__ = (
-        "request_id", "spec", "writer", "attempt", "affinity", "eligible",
-        "ckey", "job_id",
-    )
+    __slots__ = ("request_id", "spec", "writer", "attempt", "affinity", "job_id")
 
     def __init__(
         self,
@@ -127,22 +115,19 @@ class _Job:
         self.writer = writer
         self.attempt = 1
         self.affinity = jobs_module.affinity_key(spec)
-        self.eligible = job_id is None and jobs_module.lane_eligible(spec)
-        self.ckey = jobs_module.coalesce_key(spec)
         self.job_id = job_id
 
 
 class _WorkerSlot:
-    """A persistent pool worker plus its coalescing queue and cache ledger."""
+    """A persistent pool worker plus its FIFO job queue and cache ledger."""
 
-    __slots__ = ("worker", "queue", "inflight", "timer", "seen", "dispatches")
+    __slots__ = ("worker", "queue", "inflight", "seen", "dispatches")
 
     def __init__(self, worker: PoolWorker):
         self.worker = worker
         self.queue: Deque[_Job] = deque()
-        #: Jobs inside the currently dispatched item (None = worker idle).
-        self.inflight: Optional[List[_Job]] = None
-        self.timer: Optional[asyncio.TimerHandle] = None
+        #: The dispatched job (None = worker idle).
+        self.inflight: Optional[_Job] = None
         #: Affinity keys this worker has already compiled (hit-rate ledger,
         #: mirroring the worker-side scenario memo without a round trip).
         self.seen: Set[str] = set()
@@ -156,10 +141,7 @@ def _new_stats() -> dict:
         "errors": 0,
         "protocol_errors": 0,
         "retried": 0,
-        "batches": 0,
-        "coalesced_jobs": 0,
-        "solo_jobs": 0,
-        "max_batch": 0,
+        "dispatched": 0,
         "affinity_hits": 0,
         "affinity_misses": 0,
         "worker_deaths": 0,
@@ -190,8 +172,10 @@ class SchedulerService:
         self._next_job_id = 0
         self._max_finished_jobs = 1024
         self._closing = False
-        #: Live client-handler tasks, cancelled and awaited by :meth:`close`.
+        #: Live client-handler and inline-job (``workers=0``) tasks,
+        #: cancelled and awaited by :meth:`close`.
         self._handlers: Set[asyncio.Task] = set()
+        self._inline: Set[asyncio.Task] = set()
         methods = mp.get_all_start_methods()
         self._ctx = mp.get_context("fork" if "fork" in methods else "spawn")
         self._pool_config = SupervisorConfig(
@@ -228,24 +212,25 @@ class SchedulerService:
         return self.address
 
     async def close(self) -> None:
-        """Stop accepting, end live handlers, drop queued work, retire workers.
+        """Stop accepting, end live handlers and inline jobs, drop queued
+        work, retire workers.
 
         The handlers are cancelled and awaited before ``wait_closed()``: on
         Python 3.11 that call does not wait for them (a pending handler
         would be destroyed with the loop), and from 3.12 on it waits for
         their connections, which a client that never hangs up keeps open.
+        An inline job is cancelled the same way; its executor thread runs
+        the cell to the end, and the result is dropped.
         """
         self._closing = True
         if self._server is not None:
             self._server.close()
-            handlers = list(self._handlers)
-            for task in handlers:
+            tasks = list(self._handlers) + list(self._inline)
+            for task in tasks:
                 task.cancel()
-            await asyncio.gather(*handlers, return_exceptions=True)
+            await asyncio.gather(*tasks, return_exceptions=True)
             await self._server.wait_closed()
         for slot in self._slots:
-            if slot.timer is not None:
-                slot.timer.cancel()
             self._remove_reader(slot)
             slot.worker.shutdown()
         self._slots = []
@@ -387,7 +372,9 @@ class SchedulerService:
         job = _Job(request_id, spec, writer, job_id=job_id)
         if not self._slots:
             assert self._loop is not None
-            self._loop.create_task(self._run_inline(job))
+            task = self._loop.create_task(self._run_inline(job))
+            self._inline.add(task)
+            task.add_done_callback(self._inline.discard)
             return
         self._enqueue(job, front=False)
 
@@ -420,112 +407,58 @@ class SchedulerService:
         rows = await self._loop.run_in_executor(
             None, sweep_module._run_sweep_item, job.spec
         )
-        self._stats["solo_jobs"] += 1
+        self._stats["dispatched"] += 1
         self._finish_job(job, rows[0])
 
     # ------------------------------------------------------------------ #
-    # Sharding, coalescing, dispatch
+    # Sharding and dispatch
     # ------------------------------------------------------------------ #
 
     def _enqueue(self, job: _Job, front: bool) -> None:
+        """Queue *job* on its affinity worker (a retry goes first) and send
+        it at once if that worker is idle."""
         slot = self._slots[jobs_module.shard(job.spec, len(self._slots))]
         if front:
             slot.queue.appendleft(job)
         else:
             slot.queue.append(job)
-        if slot.inflight is None and self._flushable(slot):
-            self._flush(slot)
-        elif slot.timer is None and slot.queue:
-            assert self._loop is not None
-            slot.timer = self._loop.call_later(
-                self.config.window_ms / 1000.0, self._on_window, slot
-            )
+        self._dispatch(slot)
 
-    def _flushable(self, slot: _WorkerSlot) -> bool:
-        """Flush now, or wait out the window for more company?"""
-        if not slot.queue:
-            return False
-        head = slot.queue[0]
-        if not head.eligible or self.config.window_ms == 0:
-            return True  # solo jobs gain nothing from waiting
-        batchable = sum(
-            1 for job in slot.queue if job.eligible and job.ckey == head.ckey
-        )
-        return batchable >= self.config.batch
-
-    def _on_window(self, slot: _WorkerSlot) -> None:
-        slot.timer = None
-        if slot.inflight is None and slot.queue:
-            self._flush(slot)
-
-    def _take_batch(self, slot: _WorkerSlot) -> List[_Job]:
-        """Pop the next dispatch group off the queue head.
-
-        An ineligible head runs solo; an eligible head takes up to
-        ``batch`` compatible jobs with it (skipped jobs keep their queue
-        order for the next flush).
-        """
-        head = slot.queue.popleft()
-        if not head.eligible:
-            return [head]
-        batch = [head]
-        kept: List[_Job] = []
-        while slot.queue and len(batch) < self.config.batch:
-            job = slot.queue.popleft()
-            if job.eligible and job.ckey == head.ckey:
-                batch.append(job)
-            else:
-                kept.append(job)
-        for job in reversed(kept):
-            slot.queue.appendleft(job)
-        return batch
-
-    def _flush(self, slot: _WorkerSlot) -> None:
+    def _dispatch(self, slot: _WorkerSlot) -> None:
+        """Send the queue head to the worker, if the worker is idle."""
         if slot.inflight is not None or not slot.queue or self._closing:
             return
-        if slot.timer is not None:
-            slot.timer.cancel()
-            slot.timer = None
-        batch = self._take_batch(slot)
-        for job in batch:
-            if job.affinity in slot.seen:
-                self._stats["affinity_hits"] += 1
-            else:
-                self._stats["affinity_misses"] += 1
-                slot.seen.add(job.affinity)
-        if len(slot.seen) > 4096:
-            slot.seen.clear()  # ledger bound; worker memo is bounded too
-        item = batch[0].spec if len(batch) == 1 else [job.spec for job in batch]
-        self._stats["batches"] += 1
-        self._stats["max_batch"] = max(self._stats["max_batch"], len(batch))
-        if len(batch) == 1:
-            self._stats["solo_jobs"] += 1
-        else:
-            self._stats["coalesced_jobs"] += len(batch)
+        job = slot.queue[0]
         self._next_task_index += 1
         task = PoolTask(
             index=self._next_task_index,
-            key=sweep_module._item_key(item),
-            item=item,
-            attempt=max(job.attempt for job in batch),
+            key=sweep_module._item_key(job.spec),
+            item=job.spec,
+            attempt=job.attempt,
         )
         try:
             slot.worker.dispatch(task, timeout=None)
         except (BrokenPipeError, OSError):
-            # The worker exited between replies (e.g. a maxtasksperchild
-            # recycle); nothing was delivered, so requeue without charging
-            # an attempt and replace the worker.
-            for job in reversed(batch):
-                slot.queue.appendleft(job)
+            # The worker exited while idle, before its EOF was read;
+            # nothing was delivered, so replace the worker and send the job
+            # to the new one without charging an attempt.
             self._replace_worker(slot, died=False)
+            self._dispatch(slot)
             return
-        slot.inflight = batch
+        slot.queue.popleft()
+        slot.inflight = job
         slot.dispatches += 1
-        for job in batch:
-            if job.job_id is not None:
-                record = self._jobs.get(job.job_id)
-                if record is not None:
-                    record["state"] = "running"
+        self._stats["dispatched"] += 1
+        if job.affinity in slot.seen:
+            self._stats["affinity_hits"] += 1
+        else:
+            self._stats["affinity_misses"] += 1
+            if len(slot.seen) >= 4096:
+                slot.seen.clear()  # ledger bound; worker memo is bounded too
+            slot.seen.add(job.affinity)
+        record = self._jobs.get(job.job_id)
+        if record is not None:
+            record["state"] = "running"
 
     # ------------------------------------------------------------------ #
     # Worker replies and deaths
@@ -537,57 +470,54 @@ class SchedulerService:
         except (EOFError, OSError):
             self._handle_worker_exit(slot)
             return
-        _index, _attempt, ok, payload, err = msg
+        index, attempt, ok, payload, err = msg
+        job = slot.inflight
         if ok == "progress":
-            # Out-of-band anytime snapshot from a still-running cell: the
-            # worker stays busy.  Async jobs dispatch solo, so the snapshot
-            # belongs to the single inflight job; drop stale attempts.
+            # Out-of-band anytime snapshot from the still-running job: the
+            # worker stays busy.  Drop stale attempts.
             task = slot.worker.current
-            batch = slot.inflight
+            record = self._jobs.get(job.job_id) if job is not None else None
             if (
                 task is not None
-                and task.index == _index
-                and task.attempt == _attempt
-                and batch is not None
-                and len(batch) == 1
-                and batch[0].job_id is not None
+                and (task.index, task.attempt) == (index, attempt)
+                and record is not None
+                and record["state"] == "running"
             ):
-                record = self._jobs.get(batch[0].job_id)
-                if record is not None and record["state"] == "running":
-                    record["best_so_far"] = payload
-                    self._stats["progress_updates"] += 1
+                record["best_so_far"] = payload
+                self._stats["progress_updates"] += 1
             return
-        batch = slot.inflight
         slot.inflight = None
         slot.worker.current = None
         slot.worker.tasks_done += 1
-        if batch is None:  # pragma: no cover - stale reply after a requeue
+        limit = self.config.maxtasksperchild
+        if limit is not None and slot.worker.tasks_done >= limit:
+            # The worker exits right after this reply: retire it now, or
+            # the next job may be sent into a pipe it will never read and
+            # be charged an attempt as a worker death.
+            self._replace_worker(slot, died=False)
+        if job is None:  # pragma: no cover - stale reply after a requeue
             return
-        if ok and isinstance(payload, list) and len(payload) == len(batch):
-            for job, row in zip(batch, payload):
-                self._account_row(row)
-                self._finish_job(job, row)
+        if ok and isinstance(payload, list) and len(payload) == 1:
+            self._account_row(payload[0])
+            self._finish_job(job, payload[0])
         else:
             # The worker itself failed (chaos-injected exception, or an
-            # unpicklable row): charge an attempt and retry the jobs.
-            error = err or ("MalformedResult", "worker returned a malformed batch")
-            self._retry_batch(slot, batch, error[0], error[1])
-        self._flush(slot)
+            # unpicklable row): charge an attempt and retry the job.
+            error = err or ("MalformedResult", "worker returned a malformed result")
+            self._retry(job, error[0], error[1])
+        self._dispatch(slot)
 
     def _handle_worker_exit(self, slot: _WorkerSlot) -> None:
-        batch = slot.inflight
+        job = slot.inflight
         slot.inflight = None
-        if batch is not None:
+        if job is not None:
             self._stats["worker_deaths"] += 1
-        self._replace_worker(slot, died=batch is not None)
-        if batch is not None:
-            self._retry_batch(
-                slot,
-                batch,
-                "WorkerDeath",
-                "worker died mid-job; the job was re-dispatched",
+        self._replace_worker(slot, died=job is not None)
+        if job is not None:
+            self._retry(
+                job, "WorkerDeath", "worker died mid-job; the job was re-dispatched"
             )
-        self._flush(slot)
+        self._dispatch(slot)
 
     def _replace_worker(self, slot: _WorkerSlot, died: bool) -> None:
         self._remove_reader(slot)
@@ -604,37 +534,26 @@ class SchedulerService:
         # hit-rate counters keep telling the truth.
         slot.seen.clear()
 
-    def _retry_batch(
-        self, slot: _WorkerSlot, batch: List[_Job], error_type: str, message: str
-    ) -> None:
-        for job in reversed(batch):
-            if job.attempt > self.config.retries:
-                self._stats["errors"] += 1
-                terminal = (
-                    error_type,
-                    f"{message} (gave up after {job.attempt} attempt(s))",
-                )
-                if job.job_id is not None:
-                    record = self._jobs.get(job.job_id)
-                    if record is not None:
-                        record["state"] = "error"
-                        record["error"] = {
-                            "type": terminal[0],
-                            "message": terminal[1],
-                        }
-                    continue
+    def _retry(self, job: _Job, error_type: str, message: str) -> None:
+        """Requeue *job* at its queue head, or fail it once out of attempts."""
+        record = self._jobs.get(job.job_id)
+        if job.attempt > self.config.retries:
+            self._stats["errors"] += 1
+            message = f"{message} (gave up after {job.attempt} attempt(s))"
+            if job.job_id is None:
                 self._write(
                     job.writer,
-                    protocol.error_response(job.request_id, terminal),
+                    protocol.error_response(job.request_id, (error_type, message)),
                 )
-                continue
-            job.attempt += 1
-            self._stats["retried"] += 1
-            if job.job_id is not None:
-                record = self._jobs.get(job.job_id)
-                if record is not None:
-                    record["state"] = "queued"
-            self._enqueue(job, front=True)
+            elif record is not None:
+                record["state"] = "error"
+                record["error"] = {"type": error_type, "message": message}
+            return
+        job.attempt += 1
+        self._stats["retried"] += 1
+        if record is not None:
+            record["state"] = "queued"
+        self._enqueue(job, front=True)
 
     # ------------------------------------------------------------------ #
     # Responses and stats
@@ -692,7 +611,7 @@ class SchedulerService:
         s = self._stats
         hits, misses = s["affinity_hits"], s["affinity_misses"]
         routed = hits + misses
-        dispatched = s["coalesced_jobs"] + s["solo_jobs"]
+        dispatched = s["dispatched"]
         return {
             "protocol_version": protocol.PROTOCOL_VERSION,
             "uptime_s": (
@@ -718,12 +637,14 @@ class SchedulerService:
                 "progress_updates": s["progress_updates"],
                 "registered": len(self._jobs),
             },
+            # Each dispatch carries one job.  The block keeps the keys it
+            # had when jobs were batched, for readers that still take them.
             "coalescing": {
-                "batches": s["batches"],
-                "coalesced_jobs": s["coalesced_jobs"],
-                "solo_jobs": s["solo_jobs"],
-                "max_batch": s["max_batch"],
-                "mean_batch": (dispatched / s["batches"]) if s["batches"] else 0.0,
+                "batches": dispatched,
+                "coalesced_jobs": 0,
+                "solo_jobs": dispatched,
+                "max_batch": min(1, dispatched),
+                "mean_batch": float(min(1, dispatched)),
             },
             "affinity": {
                 "hits": hits,

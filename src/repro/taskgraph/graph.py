@@ -17,13 +17,16 @@ from :mod:`repro.taskgraph.levels` as convenience methods.
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
-
-import networkx as nx
+from typing import (
+    TYPE_CHECKING, Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple,
+)
 
 from repro.exceptions import CycleError, TaskGraphError, UnknownTaskError
 from repro.taskgraph.task import Task
 from repro.utils.validation import check_non_negative
+
+if TYPE_CHECKING:  # to_networkx imports networkx when it is called
+    import networkx as nx
 
 __all__ = ["TaskGraph"]
 
@@ -331,6 +334,8 @@ class TaskGraph:
         Node attribute ``duration`` and edge attribute ``comm`` carry the
         quantitative data; node attribute ``label`` carries the display name.
         """
+        import networkx as nx
+
         g = nx.DiGraph(name=self.name)
         for task in self._tasks.values():
             g.add_node(task.task_id, duration=task.duration, label=task.label, **dict(task.attrs))

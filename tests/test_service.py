@@ -1,16 +1,15 @@
-"""Scheduling service: protocol taxonomy, routing, coalescing, fault tolerance.
+"""Scheduling service: protocol taxonomy, routing, dispatch, fault tolerance.
 
 The service's contract has three legs, each tested here:
 
 * **bit-identity** — responses must equal direct
   :func:`~repro.experiments.sweep.run_scenario` rows field for field,
-  including placement fingerprints, whether a job runs solo or coalesced
-  into a batched lane group;
+  including placement fingerprints, for lone jobs and bursts alike;
 * **structured errors** — malformed JSON, unknown registry names,
   oversized payloads and exhausted retries come back as taxonomy-typed
   error responses (:mod:`repro.exceptions`) without killing the server or
   disturbing other clients;
-* **self-accounting** — the ``stats`` op's coalescing, affinity and
+* **self-accounting** — the ``stats`` op's dispatch, affinity and
   compile-cache counters must reflect what actually happened, because the
   benchmark gate reads them as evidence.
 """
@@ -21,6 +20,7 @@ import gc
 import json
 import logging
 import socket
+import threading
 import warnings
 
 import pytest
@@ -32,9 +32,7 @@ from repro.service import (
     ServiceClient,
     ServiceConfig,
     affinity_key,
-    coalesce_key,
     job_to_spec,
-    lane_eligible,
     serve_in_thread,
 )
 from repro.service.client import ServiceJobError
@@ -176,22 +174,6 @@ class TestRouting:
         assert affinity_key(base) != affinity_key(dict(base, graph_seed=2))
         assert affinity_key(base) != affinity_key(dict(base, machine="bus8"))
 
-    def test_lane_eligibility(self):
-        assert lane_eligible({"replicas": None, "fast": None})
-        assert lane_eligible({"replicas": None, "fast": True})
-        assert not lane_eligible({"replicas": 8, "fast": None})
-        assert not lane_eligible({"replicas": None, "fast": False})
-        # Portfolio jobs drive heterogeneous lanes of their own; they can
-        # never ride a shared lane group.
-        assert not lane_eligible(
-            {"replicas": None, "portfolio": 4, "fast": None}
-        )
-
-    def test_coalesce_key_is_per_fidelity(self):
-        assert coalesce_key({"fidelity": "latency"}) != coalesce_key(
-            {"fidelity": "contention"}
-        )
-
 
 # --------------------------------------------------------------------------- #
 # Live server
@@ -201,8 +183,6 @@ class TestRouting:
 def service():
     config = ServiceConfig(
         workers=2,
-        batch=8,
-        window_ms=5.0,
         limits=RequestLimits(max_tasks=500, max_line_bytes=256 * 1024),
     )
     with serve_in_thread(config) as (host, port):
@@ -226,7 +206,16 @@ class TestService:
             assert row[key] == direct[key], key
         assert row["fingerprint"] == direct["fingerprint"]
 
-    def test_coalesced_burst_bit_identical_including_sa(self, service):
+    def test_lone_job_is_dispatched_at_once(self):
+        # Nothing reads window_ms: a job that reaches an idle worker goes
+        # out at once instead of waiting for company.
+        config = ServiceConfig(workers=1, window_ms=60_000.0)
+        with serve_in_thread(config) as (host, port):
+            with ServiceClient(host, port, timeout=10.0) as client:
+                row = client.simulate(_job())
+        assert row["makespan"] == _direct(_job())["makespan"]
+
+    def test_burst_dispatches_one_job_at_a_time(self, service):
         jobs = [
             _job(policy=policy, policy_seed=seed, graph_seed=seed % 2,
                  fingerprint=True)
@@ -242,16 +231,16 @@ class TestService:
             for key in SCIENCE:
                 assert row[key] == direct[key], (job, key)
             assert row["fingerprint"] == direct["fingerprint"]
-        # SA rode the batched lanes with everyone else.
-        assert any(
-            row["engine_used"] == "batched"
-            for job, row in zip(jobs, rows)
-            if job["policy"] == "SA"
-        )
-        assert (
-            after["coalescing"]["coalesced_jobs"]
-            > before["coalescing"]["coalesced_jobs"]
-        )
+            assert row["engine_used"] == direct["engine_used"], job
+        dispatched = {
+            key: after["coalescing"][key] - before["coalescing"][key]
+            for key in ("batches", "coalesced_jobs", "solo_jobs")
+        }
+        assert dispatched == {
+            "batches": len(jobs), "coalesced_jobs": 0, "solo_jobs": len(jobs)
+        }
+        assert after["coalescing"]["max_batch"] == 1
+        assert after["coalescing"]["mean_batch"] == 1.0
         assert after["compile_cache"]["hits"] > before["compile_cache"]["hits"]
 
     def test_affinity_hit_rate_climbs_when_cache_warm(self, service):
@@ -271,7 +260,7 @@ class TestService:
             row = client.simulate(job)
         direct = _direct(job)
         assert row["makespan"] == direct["makespan"]
-        assert row["engine_used"] != "batched"
+        assert row["engine_used"] == direct["engine_used"]
 
     def test_payload_job_matches_registry_job(self, service):
         graph = sweep.GRAPH_FAMILIES["grid"](0)
@@ -301,7 +290,7 @@ class TestService:
         direct = _direct(job)
         assert row["makespan"] == direct["makespan"]
         assert row["portfolio"] == 2
-        assert row["engine_used"] != "batched"
+        assert row["engine_used"] == direct["engine_used"]
 
 
 class TestAsyncJobs:
@@ -430,9 +419,9 @@ class TestServiceErrors:
 
 class TestFaultTolerance:
     def test_worker_death_is_retried_transparently(self):
-        # batch=1 keeps dispatch keys equal to the (deterministic) spec
-        # hashes, so the seeded chaos plan is reproducible: pick jobs whose
-        # worker dies on attempt 1 and survives attempt 2, plus healthy ones.
+        # Dispatch keys are the (deterministic) spec hashes, so the seeded
+        # chaos plan is reproducible: pick jobs whose worker dies on
+        # attempt 1 and survives attempt 2, plus healthy ones.
         chaos = ChaosConfig(rate=0.5, kinds=("die",), seed=11)
         from repro.experiments.supervisor import spec_key
 
@@ -447,9 +436,7 @@ class TestFaultTolerance:
                 healthy.append(job)
         assert len(dying) == 3 and len(healthy) == 3
 
-        config = ServiceConfig(
-            workers=2, batch=1, window_ms=0.0, retries=3, chaos=chaos
-        )
+        config = ServiceConfig(workers=2, retries=3, chaos=chaos)
         jobs = healthy + dying
         with serve_in_thread(config) as (host, port):
             with ServiceClient(host, port, timeout=120.0) as client:
@@ -466,8 +453,6 @@ class TestFaultTolerance:
     def test_exhausted_retries_fail_with_worker_death(self):
         config = ServiceConfig(
             workers=1,
-            batch=2,
-            window_ms=1.0,
             retries=1,
             chaos=ChaosConfig(rate=1.0, kinds=("die",), seed=3),
         )
@@ -481,6 +466,22 @@ class TestFaultTolerance:
         assert not responses[0]["ok"]
         assert responses[0]["error"]["type"] == "WorkerDeath"
         assert "gave up" in responses[0]["error"]["message"]
+
+    def test_recycled_workers_lose_no_jobs(self):
+        # maxtasksperchild=1 retires each worker after one reply.  With no
+        # retries to spare, no job may be sent to a worker on its way out.
+        config = ServiceConfig(workers=1, maxtasksperchild=1, retries=0)
+        jobs = [_job(policy_seed=seed) for seed in range(12)]
+        with serve_in_thread(config) as (host, port):
+            with ServiceClient(host, port, timeout=120.0) as client:
+                rows = [client.simulate(job) for job in jobs[:4]]
+                rows += client.simulate_many(jobs[4:])
+                stats = client.stats()
+        for job, row in zip(jobs, rows):
+            assert row["makespan"] == _direct(job)["makespan"]
+        assert stats["workers"]["deaths"] == 0
+        assert stats["workers"]["respawns"] == len(jobs)
+        assert stats["jobs"]["errors"] == 0
 
     def test_inline_mode_serves_without_workers(self):
         config = ServiceConfig(workers=0)
@@ -515,3 +516,19 @@ class TestShutdown:
         stalled.close()
         assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
         assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+    def test_close_ends_pending_inline_jobs(self, caplog):
+        """An inline (``workers=0``) job still running when the service shuts
+        down is cancelled and awaited, not destroyed with the event loop."""
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        with serve_in_thread(ServiceConfig(workers=0)) as (host, port):
+            with ServiceClient(host, port) as client:
+                client.submit(_job(policy="SA", family="dag200", replicas=8))
+        # The cell keeps running on the loop's executor thread; the task
+        # awaiting it is only collected once that thread lets go of it.
+        for thread in threading.enumerate():
+            if thread.name.startswith("asyncio_"):
+                thread.join(timeout=120.0)
+                assert not thread.is_alive(), thread.name
+        gc.collect()
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []

@@ -23,6 +23,7 @@ from repro.experiments.sweep import (
     comparable_rows,
     format_sweep_report,
     hetero_machine,
+    lane_eligible,
     main,
     parallel_map,
     run_lane_group,
@@ -500,6 +501,17 @@ class TestLaneGroupSpecs:
             for key in SCIENCE_FIELDS:
                 assert row.get(key) == expected.get(key), (spec, key)
         return rows
+
+    def test_lane_eligibility(self):
+        assert lane_eligible({"replicas": None, "fast": None})
+        assert lane_eligible({"replicas": None, "fast": True})
+        assert not lane_eligible({"replicas": 8, "fast": None})
+        assert not lane_eligible({"replicas": None, "fast": False})
+        # Portfolio cells drive heterogeneous lanes of their own; they can
+        # never ride a shared lane group.
+        assert not lane_eligible(
+            {"replicas": None, "portfolio": 4, "fast": None}
+        )
 
     def test_ineligible_spec_runs_alone(self):
         plain = _spec(0, family="dag", policy="SA")

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.exceptions import CycleError, TaskGraphError, UnknownTaskError
 from repro.taskgraph.graph import TaskGraph
 from repro.taskgraph.levels import (
@@ -172,6 +178,20 @@ class TestConversionCopy:
         assert back.n_edges == diamond_graph.n_edges
         assert back.duration("b") == diamond_graph.duration("b")
         assert back.comm("a", "b") == diamond_graph.comm("a", "b")
+
+    def test_sweep_and_service_import_without_networkx(self):
+        # Only to_networkx imports networkx, so a fresh process that loads
+        # the sweep and the service leaves it unimported.
+        code = (
+            "import sys, repro.experiments.sweep, repro.service; "
+            "print('networkx' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parent.parent))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "False"
 
     def test_copy_is_independent(self, diamond_graph):
         c = diamond_graph.copy()
