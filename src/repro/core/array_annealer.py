@@ -64,8 +64,9 @@ arrays:
   :class:`~repro.sim.compile.FastPacket` straight from a
   :class:`ReadyRowCache`.  A ready task's equation-4 row and its share of
   ``dF_c`` are run-long invariants, so the cache builds both once per task
-  per run — the row from the compiled scenario's per-edge tensor instead of
-  ``cost_row`` calls (same accumulation order, bit-identical rows).  An epoch
+  per run — the row from one gather over the compiled scenario's machine
+  tables instead of ``cost_row`` calls (same accumulation order,
+  bit-identical rows).  An epoch
   with one idle processor then only gathers two columns and takes two
   numpy maxima for its :class:`OneSlotPacket`, which the single chain
   anneals as is; any other epoch gathers the ready × idle slice and sorts
@@ -443,16 +444,31 @@ def _draw_block(bitgen, block, pos: int, count: int, n: Optional[int]):
     32-bit half (int64) — raw for ``n=None``, otherwise pre-indexed to
     ``integers(0, n)`` (:func:`_task_indices`).  Reading an entry makes a
     Python object for that word only.  The empty block is :data:`_NO_WORDS`.
+
+    The new words are computed in place in the three result arrays: a
+    refill that made and dropped a temporary per step (up to ~10 arrays of
+    ~115 KB) had glibc trim and re-fault the top of the heap on nearly
+    every refill.
     """
     raw = bitgen.random_raw(count)
-    halves = np.concatenate((raw & _M32, raw >> 32))
-    halves = halves.view(np.int64) if n is None else _task_indices(halves, n)
     dbl, lo, hi = block
-    return (
-        memoryview(np.concatenate((dbl[pos:], (raw >> 11) * _INV_2_53))),
-        memoryview(np.concatenate((lo[pos:], halves[:count]))),
-        memoryview(np.concatenate((hi[pos:], halves[count:]))),
-    )
+    tail = len(dbl) - pos
+    new_dbl = np.empty(tail + count, np.float64)
+    new_lo = np.empty(tail + count, np.int64)
+    new_hi = np.empty(tail + count, np.int64)
+    new_dbl[:tail] = dbl[pos:]
+    new_lo[:tail] = lo[pos:]
+    new_hi[:tail] = hi[pos:]
+    lo_half = new_lo[tail:].view(np.uint64)
+    hi_half = new_hi[tail:].view(np.uint64)
+    np.bitwise_and(raw, _M32, out=lo_half)
+    np.right_shift(raw, 32, out=hi_half)
+    if n is not None:
+        new_lo[tail:] = _task_indices(lo_half, n)
+        new_hi[tail:] = _task_indices(hi_half, n)
+    np.right_shift(raw, 11, out=raw)
+    np.multiply(raw, _INV_2_53, out=new_dbl[tail:])
+    return memoryview(new_dbl), memoryview(new_lo), memoryview(new_hi)
 
 
 def _lemire_retry(enc: int, n: int, half, pos: int, block, bitgen, block_n):
@@ -973,11 +989,12 @@ def compile_fast_packet(
     *fast_packet* is a :class:`~repro.sim.compile.FastPacket` (duck-typed to
     avoid a core → sim import) and *cache* the run's :class:`ReadyRowCache`
     for its scenario.  Ready tasks keep their dense graph indices as
-    identifiers.  A task seen for the first time gets its cache row summed
-    from the precompiled per-edge equation-4 tensor, one predecessor at a
-    time from 0.0 (the accumulation order of
-    :func:`~repro.comm.model.comm_cost_table`), and its worst-case total
-    from :func:`~repro.core.kernel.worst_case_comm_totals`.
+    identifiers.  The tasks seen for the first time get their entries'
+    equation-4 costs in one gather over the scenario's machine tables
+    (:meth:`~repro.sim.compile.CompiledScenario.cost_rows`); each cache row
+    then sums its entries one predecessor at a time from 0.0 (the
+    accumulation order of :func:`~repro.comm.model.comm_cost_table`), and
+    each total comes from :func:`~repro.core.kernel.worst_case_comm_totals`.
 
     An epoch with one idle processor and a ready task — the common shape —
     becomes a :class:`OneSlotPacket`: the levels (speed-scaled) and the
@@ -999,23 +1016,28 @@ def compile_fast_packet(
     index = np.array(ready, dtype=np.intp)  # one conversion for every gather
     have, rows, totals = cache.have, cache.rows, cache.totals
     new = index[~have[index]].tolist()
-    pc = sc._pred_costs  # None for the zero model: rows stay 0.0, totals -inf
-    if new and pc is not None:
+    # The zero model (no machine tables) leaves rows at 0.0 and totals -inf.
+    if new and sc.wdist is not None:
         indptr = sc.pred_indptr_list
-        pred_ids = sc.pred_ids_list
-        assigned = fast_packet.assigned_proc
-        with_preds = []
-        weight_lists = []
-        for ti in new:
-            lo, hi = indptr[ti], indptr[ti + 1]
-            if lo == hi:
-                continue
-            row = rows[ti]
-            for e in range(lo, hi):
-                row += pc[e, assigned[pred_ids[e]]]
-            with_preds.append(ti)
-            weight_lists.append(sc.pred_weights[lo:hi].tolist())
+        with_preds = [ti for ti in new if indptr[ti] < indptr[ti + 1]]
         if with_preds:
+            # One gather prices every new entry; each row then sums its
+            # entries one at a time from 0.0, in predecessor order.
+            entries = np.concatenate(
+                [np.arange(indptr[ti], indptr[ti + 1]) for ti in with_preds]
+            )
+            srcs = fast_packet.assigned_proc[sc.pred_ids[entries]]
+            costs = sc.cost_rows(entries, srcs)
+            weights = sc.pred_weights_list
+            weight_lists = []
+            k = 0
+            for ti in with_preds:
+                lo, hi = indptr[ti], indptr[ti + 1]
+                row = rows[ti]
+                for cost in costs[k : k + hi - lo]:
+                    row += cost
+                k += hi - lo
+                weight_lists.append(weights[lo:hi])
             totals[with_preds] = worst_case_comm_totals(sc.machine, weight_lists)
     have[new] = True
     ready_totals = totals[index]

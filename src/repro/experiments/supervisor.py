@@ -42,6 +42,7 @@ import json
 import multiprocessing as mp
 import multiprocessing.connection as mp_connection
 import os
+import signal
 import time
 import traceback as traceback_module
 from dataclasses import dataclass, field
@@ -377,6 +378,11 @@ def _worker_loop(conn, fn, chaos: Optional[ChaosConfig], max_tasks: Optional[int
     cell's or an injected one — is reported as a structured failure tuple;
     injected ``die`` faults never reach the reply.
     """
+    # A worker forked from an event loop that handles SIGTERM (the service
+    # CLI) inherits the handler and the loop's wakeup fd: restore the
+    # default, or a SIGTERM meant for this worker would stop the server.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
     done = 0
     while True:
         try:
@@ -617,8 +623,15 @@ def supervised_map(
             )
         _complete(task, on_failure(task.item, task.failures), journal=False)
 
+    def _retiring(worker: PoolWorker) -> bool:
+        """Whether *worker* has sent its last reply and is exiting."""
+        return (
+            config.maxtasksperchild is not None
+            and worker.tasks_done >= config.maxtasksperchild
+        )
+
     def _handle_exit(slot: int) -> None:
-        """A worker's pipe hit EOF: clean recycle or abrupt death."""
+        """A worker exited or is exiting: clean recycle or abrupt death."""
         worker = workers[slot]
         task = worker.current
         worker.current = None
@@ -642,10 +655,7 @@ def supervised_map(
                     "traceback": "",
                 },
             )
-        elif (
-            config.maxtasksperchild is not None
-            and worker.tasks_done >= config.maxtasksperchild
-        ):
+        elif _retiring(worker):
             stats["recycles"] += 1
         if n_done < n:
             _respawn(slot)
@@ -653,11 +663,15 @@ def supervised_map(
     try:
         while n_done < n:
             now = time.monotonic()
-            # Reap idle workers that exited (a maxtasksperchild recycle whose
-            # EOF landed after its last reply): without this, the dead pipe
-            # would never be drained and the slot never refilled.
+            # Reap idle workers that exited, and retire those that sent
+            # their maxtasksperchild-th reply: such a worker exits without
+            # reading its pipe again, so a cell sent to it would be lost and
+            # charged as a death.  Without this, a dead pipe would never be
+            # drained and the slot never refilled.
             for slot, worker in enumerate(workers):
-                if worker.current is None and not worker.proc.is_alive():
+                if worker.current is None and (
+                    _retiring(worker) or not worker.proc.is_alive()
+                ):
                     _handle_exit(slot)
             # Dispatch ready cells to idle, live workers.
             for slot, worker in enumerate(workers):

@@ -197,7 +197,7 @@ class HLFScheduler(SchedulingPolicy):
         return lanes[li], tasks_sel[li, pos], procs_sel[li, pos]
 
     def _fast_min_comm(self, packet, selected: List[int]) -> Dict[int, ProcId]:
-        """Greedy min-comm placement over the compiled per-edge cost tables.
+        """Greedy min-comm placement over the compiled equation-4 cost rows.
 
         Accumulates each candidate row in predecessor order (the float
         summation order of the scalar path) and scans free processors in
@@ -211,10 +211,12 @@ class HLFScheduler(SchedulingPolicy):
         for ti in selected:
             procs = np.asarray(free, dtype=np.intp)
             costs = np.zeros(len(free), dtype=np.float64)
-            for e in range(indptr[ti], indptr[ti + 1]):
-                table = sc.pred_table(e)
-                if table is not None:
-                    costs = costs + table[packet.assigned_proc[preds[e]], procs]
+            lo, hi = indptr[ti], indptr[ti + 1]
+            if sc.wdist is not None and lo < hi:
+                entries = np.arange(lo, hi)
+                rows = sc.cost_rows(entries, packet.assigned_proc[preds[entries]])
+                for row in rows[:, procs]:
+                    costs = costs + row
             best_k = 0
             best_cost = float("inf")
             best_speed = 0.0

@@ -3,13 +3,15 @@
 Starts the scheduling server and prints one readiness line
 (``listening on <host>:<port>``) to stdout so wrappers — the CI smoke job,
 the benchmark harness — can wait for it before connecting.  Runs until
-interrupted.
+interrupted (Ctrl-C) or sent SIGTERM; either way it shuts down through
+:meth:`SchedulerService.close`, which retires the pool workers.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import signal
 import sys
 
 from repro.service.protocol import RequestLimits
@@ -58,8 +60,12 @@ async def _main(config: ServiceConfig) -> None:
     service = SchedulerService(config)
     host, port = await service.start()
     print(f"listening on {host}:{port}", flush=True)
+    serving = asyncio.ensure_future(service.serve_forever())
+    # SIGTERM (``Popen.terminate()``, a process manager's stop) ends the
+    # serve loop like a normal exit, so close() still retires the workers.
+    asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, serving.cancel)
     try:
-        await service.serve_forever()
+        await asyncio.wait([serving])
     finally:
         await service.close()
 

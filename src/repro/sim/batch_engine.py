@@ -177,11 +177,7 @@ class BatchEpoch:
         preds = st.pred_ids[entries]
         fin = self.finish[lane_e, preds]
         srcs = self.assigned[lane_e, preds]
-        base = st.cost_offset[entries] + srcs * st.n_procs[lane_e]
-        # Full-width gather: cost_flat's trailing zero block keeps the pad
-        # columns of the narrowest lanes in bounds (they are never read).
-        idx = base[:, None] + np.arange(st.p_max, dtype=np.intp)[None, :]
-        arrivals = fin[:, None] + st.cost_flat[idx]
+        arrivals = fin[:, None] + st.cost_rows(lane_e, entries, srcs)
         nonempty = np.flatnonzero(counts)
         seg = np.maximum.reduceat(arrivals, offsets[nonempty], axis=0)
         if len(nonempty) == len(lanes):
@@ -333,9 +329,7 @@ def _run_lock_step(
             preds = st.pred_ids[entries]
             fin = finish[lane_e, preds]
             srcs = assigned[lane_e, preds]
-            cost = st.cost_flat[
-                st.cost_offset[entries] + srcs * st.n_procs[lane_e] + dst_e
-            ]
+            cost = st.costs(lane_e, entries, srcs, dst_e)
             # Same-processor messages are free *without* the `+ 0.0` the
             # cross-processor zero-model path performs — mirror both.
             arrivals = np.where(srcs == dst_e, fin, fin + cost)
@@ -485,8 +479,11 @@ def _run_lock_step(
             # `flat` repeats a task once per finishing predecessor edge, so a
             # task whose last predecessors finish together appears multiple
             # times — dedupe before counting (the mask scatter is idempotent,
-            # the counter is not).
-            became = np.unique(flat[unfinished_flat[flat] == 0])
+            # the counter is not).  Sort and compare neighbours: np.unique
+            # would import numpy.ma into every worker.
+            became = np.sort(flat[unfinished_flat[flat] == 0])
+            if len(became) > 1:
+                became = became[np.append(True, became[1:] != became[:-1])]
             ready_mask.reshape(-1)[became] = True
             np.add(
                 ready_count,

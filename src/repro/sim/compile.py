@@ -18,11 +18,20 @@ on integer indices and numpy arrays:
 * durations, levels and per-processor speeds become both float64 vectors
   (for the vectorized kernels) and plain Python lists (for the engine's
   scalar hot path, where list indexing beats numpy scalar indexing);
-* the equation-4 effective communication cost is folded into one dense
-  ``(n_edges, n_procs, n_procs)`` tensor built with the exact float
-  operation order of ``CommunicationModel.cost_row``
-  (``(w * wdist + routing) + setup``), so an indexed lookup is **bit-for-bit
+* the equation-4 effective communication cost
+  ``c = w * d + (d - 1 + delta) * tau + (1 - delta) * sigma`` depends on the
+  edge only through its weight ``w``, so the machine side folds into three
+  ``(n_procs, n_procs)`` tables: ``wdist`` (the weighted distance),
+  ``routing = (dist - 1 + I) * tau`` and ``setup = (1 - I) * sigma``.
+  Every consumer evaluates ``(w * wdist[s, d] + routing[s, d]) + setup[s, d]``
+  where it reads a cost, the exact float operation order of
+  ``CommunicationModel.cost_row``, so each value is **bit-for-bit
   identical** to the scalar ``cost()`` call it replaces.
+
+The graph-only half (task index, durations, levels, CSR arrays and their
+list mirrors) depends on the graph alone; it is memoized per graph
+structural version and shared, as the same objects, by every machine and
+model the graph compiles against.
 
 Only the built-in :class:`~repro.comm.model.LinearCommModel` and
 :class:`~repro.comm.model.ZeroCommModel` (exact types, not subclasses) are
@@ -112,9 +121,9 @@ class ContentionTables:
 
     A message of edge weight ``w`` occupies hop *k*'s link for
     ``w * hop_mults[k]`` — the per-hop ``w_ij * link_weight`` charge whose
-    route-summed counterpart is the volume term of the per-edge equation-4
-    tensor (``_pred_costs``), so the two fidelities read one consistent
-    route decomposition.  ``routes[src * P + dst]`` keeps the full node
+    route-summed counterpart is the scenario's ``wdist`` table, the volume
+    term of equation 4, so the two fidelities read one consistent route
+    decomposition.  ``routes[src * P + dst]`` keeps the full node
     path as a tuple for trace records.
     """
 
@@ -190,6 +199,13 @@ class CompiledScenario:
         Per-processor speed factors (all 1.0 on homogeneous machines).
     comm_enabled:
         False for the zero-communication model (every cost is 0.0).
+    wdist, routing, setup:
+        The ``(P, P)`` machine tables of equation 4 (``None`` for the zero
+        model): the cost of CSR entry *e* from processor *s* to *d* is
+        ``(pred_weights[e] * wdist[s, d] + routing[s, d]) + setup[s, d]``.
+
+    The task-indexed fields are the graph's shared, memoized arrays: treat
+    them as read-only.
     """
 
     graph: TaskGraph
@@ -212,11 +228,12 @@ class CompiledScenario:
     #: CSR layout mirrors for the scalar engine loop (plain ints).
     pred_indptr_list: List[int] = field(repr=False, default_factory=list)
     pred_ids_list: List[int] = field(repr=False, default_factory=list)
+    pred_weights_list: List[float] = field(repr=False, default_factory=list)
     succ_indptr_list: List[int] = field(repr=False, default_factory=list)
     succ_ids_list: List[int] = field(repr=False, default_factory=list)
-    #: ``(n_edges, P, P)`` equation-4 cost tensor over predecessor-CSR entries
-    #: (``None`` for the zero model).
-    _pred_costs: Optional[np.ndarray] = field(repr=False, default=None)
+    wdist: Optional[np.ndarray] = field(repr=False, default=None)
+    routing: Optional[np.ndarray] = field(repr=False, default=None)
+    setup: Optional[np.ndarray] = field(repr=False, default=None)
     _contention: Optional[ContentionTables] = field(repr=False, default=None)
 
     @property
@@ -241,10 +258,102 @@ class CompiledScenario:
         return tables
 
     def pred_table(self, e: int) -> Optional[np.ndarray]:
-        """The ``(P, P)`` cost table of predecessor-CSR entry *e* (``None`` when free)."""
-        if self._pred_costs is None:
+        """The ``(P, P)`` cost table of predecessor-CSR entry *e* (``None`` when free).
+
+        Built on demand from the machine tables.
+        """
+        if self.wdist is None:
             return None
-        return self._pred_costs[e]
+        return (self.pred_weights[e] * self.wdist + self.routing) + self.setup
+
+    def cost_rows(self, entries: np.ndarray, srcs: np.ndarray) -> np.ndarray:
+        """Equation-4 rows: row *k* prices CSR entry ``entries[k]`` sent from
+        processor ``srcs[k]`` to every processor.
+
+        Only for a communicating model (``wdist`` is not ``None``).
+        """
+        weights = self.pred_weights[entries][:, None]
+        return (weights * self.wdist[srcs] + self.routing[srcs]) + self.setup[srcs]
+
+
+#: The graph-only half of :func:`compile_scenario`, keyed weakly by graph:
+#: ``graph -> (structural version, CompiledScenario field dict)``.  Every
+#: machine and model a graph compiles against shares these arrays.
+_GRAPH_TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _graph_tables(graph: TaskGraph) -> Dict[str, object]:
+    """The machine-independent :class:`CompiledScenario` fields of *graph*.
+
+    Memoized per graph structural version, so a graph's second machine
+    reuses the task index, durations, ``levels()`` and CSR arrays as the
+    same objects and pays only for its machine tables.
+    """
+    version = getattr(graph, "_version", None)
+    entry = _GRAPH_TABLES.get(graph)
+    if entry is not None and entry[0] == version:
+        return entry[1]
+    task_ids = graph.tasks
+    index_of = {t: i for i, t in enumerate(task_ids)}
+    n = len(task_ids)
+    durations_list = [graph._tasks[t].duration for t in task_ids]
+    levels = graph.levels()
+    levels_list = [levels[t] for t in task_ids]
+
+    # CSR adjacency straight off the graph's insertion-ordered dicts.
+    pred_indptr_list = [0] * (n + 1)
+    pred_ids_list: List[int] = []
+    pred_weights_list: List[float] = []
+    succ_indptr_list = [0] * (n + 1)
+    succ_ids_list: List[int] = []
+    for i, t in enumerate(task_ids):
+        for p, w in graph._pred[t].items():
+            pred_ids_list.append(index_of[p])
+            pred_weights_list.append(w)
+        pred_indptr_list[i + 1] = len(pred_ids_list)
+        for s in graph._succ[t]:
+            succ_ids_list.append(index_of[s])
+        succ_indptr_list[i + 1] = len(succ_ids_list)
+
+    tables = dict(
+        task_ids=task_ids,
+        index_of=index_of,
+        durations=np.array(durations_list, dtype=np.float64),
+        levels=np.array(levels_list, dtype=np.float64),
+        pred_indptr=np.array(pred_indptr_list, dtype=np.intp),
+        pred_ids=np.array(pred_ids_list, dtype=np.intp),
+        pred_weights=np.array(pred_weights_list, dtype=np.float64),
+        succ_indptr=np.array(succ_indptr_list, dtype=np.intp),
+        succ_ids=np.array(succ_ids_list, dtype=np.intp),
+        durations_list=durations_list,
+        levels_list=levels_list,
+        pred_indptr_list=pred_indptr_list,
+        pred_ids_list=pred_ids_list,
+        pred_weights_list=pred_weights_list,
+        succ_indptr_list=succ_indptr_list,
+        succ_ids_list=succ_ids_list,
+    )
+    _GRAPH_TABLES[graph] = (version, tables)
+    return tables
+
+
+def _machine_tables(machine: Machine) -> tuple:
+    """*machine*'s equation-4 tables ``(wdist, routing, setup)``, each ``(P, P)``.
+
+    The distance matrices hold the exact values the scalar path reads:
+    diagonal hops are 0, and the Kronecker delta folds the same-processor
+    collapse into the routing/setup terms ((0 - 1 + 1) * tau = 0 and
+    (1 - 1) * sigma = 0, like the paper).
+    """
+    distance = machine.distance_matrix().astype(np.float64)
+    if getattr(machine, "has_unit_link_weights", True):
+        wdist = distance
+    else:
+        wdist = machine.weighted_distance_matrix().astype(np.float64)
+    eye = np.eye(machine.n_processors, dtype=np.float64)
+    routing = (distance - 1.0 + eye) * machine.params.tau
+    setup = (1.0 - eye) * machine.params.sigma
+    return wdist, routing, setup
 
 
 def compile_scenario(
@@ -278,74 +387,21 @@ def compile_scenario(
         _CACHE_STATS["hits"] += 1
         return entry[1]
     _CACHE_STATS["misses"] += 1
-    task_ids = graph.tasks
-    index_of = {t: i for i, t in enumerate(task_ids)}
-    n = len(task_ids)
-    durations_list = [graph._tasks[t].duration for t in task_ids]
-    levels = graph.levels()
-    levels_list = [levels[t] for t in task_ids]
-
-    # CSR adjacency straight off the graph's insertion-ordered dicts.
-    pred_indptr_list = [0] * (n + 1)
-    pred_ids_list: List[int] = []
-    pred_weights: List[float] = []
-    succ_indptr_list = [0] * (n + 1)
-    succ_ids_list: List[int] = []
-    for i, t in enumerate(task_ids):
-        for p, w in graph._pred[t].items():
-            pred_ids_list.append(index_of[p])
-            pred_weights.append(w)
-        pred_indptr_list[i + 1] = len(pred_ids_list)
-        for s in graph._succ[t]:
-            succ_ids_list.append(index_of[s])
-        succ_indptr_list[i + 1] = len(succ_ids_list)
-
-    n_procs = machine.n_processors
-    weights_arr = np.array(pred_weights, dtype=np.float64)
-    enabled = comm_model.enabled
-    if enabled:
-        # Distance/weighted-distance matrices with the exact values the
-        # scalar path reads: diagonal hops are 0 and the Kronecker delta
-        # folds the same-processor collapse into the routing/setup terms
-        # ((0 - 1 + 1) * tau = 0 and (1 - 1) * sigma = 0, like the paper).
-        distance = machine.distance_matrix().astype(np.float64)
-        if getattr(machine, "has_unit_link_weights", True):
-            wdistance = distance
-        else:
-            wdistance = machine.weighted_distance_matrix().astype(np.float64)
-        eye = np.eye(n_procs, dtype=np.float64)
-        routing = (distance - 1.0 + eye) * machine.params.tau
-        setup = (1.0 - eye) * machine.params.sigma
-        # All per-edge tables in one batched expression — elementwise the
-        # same ``(w * wdist + routing) + setup`` of ``cost_row``, so every
-        # entry is bit-identical to the scalar cost.
-        pred_costs = (weights_arr[:, None, None] * wdistance + routing) + setup
+    if comm_model.enabled:
+        wdist, routing, setup = _machine_tables(machine)
     else:
-        pred_costs = None
-
+        wdist = routing = setup = None
     scenario = CompiledScenario(
         graph=graph,
         machine=machine,
         comm_model=comm_model,
-        task_ids=task_ids,
-        index_of=index_of,
-        durations=np.array(durations_list, dtype=np.float64),
-        levels=np.array(levels_list, dtype=np.float64),
-        pred_indptr=np.array(pred_indptr_list, dtype=np.intp),
-        pred_ids=np.array(pred_ids_list, dtype=np.intp),
-        pred_weights=weights_arr,
-        succ_indptr=np.array(succ_indptr_list, dtype=np.intp),
-        succ_ids=np.array(succ_ids_list, dtype=np.intp),
         speeds=machine.speeds,
-        comm_enabled=enabled,
-        durations_list=durations_list,
-        levels_list=levels_list,
+        comm_enabled=comm_model.enabled,
         speeds_list=[float(s) for s in machine.speeds],
-        pred_indptr_list=pred_indptr_list,
-        pred_ids_list=pred_ids_list,
-        succ_indptr_list=succ_indptr_list,
-        succ_ids_list=succ_ids_list,
-        _pred_costs=pred_costs,
+        wdist=wdist,
+        routing=routing,
+        setup=setup,
+        **_graph_tables(graph),
     )
     while len(cache) >= _SCENARIO_CACHE_PER_GRAPH:
         cache.pop(next(iter(cache)))
@@ -361,7 +417,7 @@ class FastPacket:
     The fast-engine counterpart of
     :class:`~repro.schedulers.base.PacketContext`: ready tasks and idle
     processors are dense indices, and the compiled scenario gives kernels
-    O(1) access to durations, levels, speeds and per-edge cost tables.
+    O(1) access to durations, levels, speeds and equation-4 costs.
     ``assigned_proc`` / ``finish_times`` are live views of the engine's full
     state arrays (entry ``-1`` / unspecified for unassigned tasks) — kernels
     may only read the entries of finished predecessors.
@@ -416,11 +472,10 @@ class FastPacket:
         entries = np.arange(total, dtype=np.intp) + np.repeat(starts - offsets, counts)
         preds = sc.pred_ids[entries]
         fin = self.finish_times[preds]
-        if sc._pred_costs is None:
+        if sc.wdist is None:
             arrivals = np.broadcast_to(fin[:, None], (total, n_procs))
         else:
-            srcs = self.assigned_proc[preds]
-            arrivals = fin[:, None] + sc._pred_costs[entries, srcs]
+            arrivals = fin[:, None] + sc.cost_rows(entries, self.assigned_proc[preds])
         # Entries are grouped by task (CSR rows are contiguous), so a
         # segmented max over the non-empty groups folds each task's
         # predecessors; empty groups keep -inf.
@@ -442,21 +497,21 @@ class StackedScenarios:
       extent (``task_valid`` / ``proc_valid`` are the matching masks);
     * predecessor and successor adjacency as **shared flat** CSR arrays:
       ``pred_start[b, t]`` / ``pred_count[b, t]`` address a contiguous run of
-      ``pred_ids`` (lane-local task indices).  Lanes built from the *same*
-      compiled scenario point into the same run, so duplicated cells cost
-      nothing extra;
-    * the equation-4 cost tensors of all lanes raveled into one
-      ``cost_flat`` vector.  ``cost_offset[g]`` is the base of predecessor
-      entry *g*'s ``(P_b, P_b)`` table, so
-      ``cost_flat[cost_offset[g] + src * n_procs[lane] + dst]`` reproduces
-      ``CompiledScenario.pred_table(e)[src, dst]`` bit for bit.  Entries of
-      zero-communication lanes point at a leading all-zero ``p_max**2``
-      block, which lets the engine's gather run unmasked (``finish + 0.0``
+      ``pred_ids`` (lane-local task indices) and of the aligned edge weights
+      ``pred_weights``.  Lanes compiled from the *same* graph (under any
+      machine or model) point into the same run, so they cost nothing extra;
+    * each lane's equation-4 machine tables, ``wdist`` / ``routing`` /
+      ``setup`` as ``(B, p_max, p_max)`` arrays, zero-padded and all zeros
+      for zero-communication lanes.  :meth:`cost_rows` and :meth:`costs`
+      evaluate ``(w * wdist + routing) + setup`` like the solo scenario, so
+      every value is bit-identical to ``CompiledScenario.pred_table(e)[src,
+      dst]``; a zero-communication lane reads ``(w * 0.0 + 0.0) + 0.0 ==
+      0.0``, which lets the engine's gathers run unmasked (``finish + 0.0``
       matches the solo engine's zero-model arithmetic exactly).
 
     The per-lane :class:`CompiledScenario` objects stay reachable through
-    ``scenarios`` — the batch engine reads their contention tables, task ids
-    and graph/machine metadata for per-lane work and result assembly.
+    ``scenarios`` — the batch engine reads their task ids and graph/machine
+    metadata for per-lane work and result assembly.
     """
 
     scenarios: List["CompiledScenario"]
@@ -471,11 +526,13 @@ class StackedScenarios:
     pred_start: np.ndarray
     pred_count: np.ndarray
     pred_ids: np.ndarray
-    cost_offset: np.ndarray
+    pred_weights: np.ndarray
     succ_start: np.ndarray
     succ_count: np.ndarray
     succ_ids: np.ndarray
-    cost_flat: np.ndarray
+    wdist: np.ndarray
+    routing: np.ndarray
+    setup: np.ndarray
     _task_valid: Optional[np.ndarray] = field(repr=False, default=None)
     _proc_valid: Optional[np.ndarray] = field(repr=False, default=None)
 
@@ -499,35 +556,45 @@ class StackedScenarios:
             )
         return mask
 
+    def cost_rows(
+        self, lanes: np.ndarray, entries: np.ndarray, srcs: np.ndarray
+    ) -> np.ndarray:
+        """``(len(entries), p_max)`` equation-4 rows: row *k* prices flat CSR
+        entry ``entries[k]`` of lane ``lanes[k]`` sent from processor
+        ``srcs[k]`` to every processor slot (pad slots read 0.0)."""
+        rows = lanes * self.p_max + srcs
+        weights = self.pred_weights[entries][:, None]
+        width = self.p_max
+        return (
+            weights * self.wdist.reshape(-1, width)[rows]
+            + self.routing.reshape(-1, width)[rows]
+        ) + self.setup.reshape(-1, width)[rows]
 
-#: Stacked-table memo: sweeps and benchmarks re-run the same lane group
-#: (e.g. timing repeats), and restacking is a large copy.  Keyed by the
-#: identity tuple of the member scenarios — the entry holds strong
-#: references to them, so the ids cannot be recycled while the entry lives —
-#: and FIFO-bounded like the per-graph scenario cache (each entry pins its
-#: member scenarios, so the bound trades memory for restack copies).
-_STACK_CACHE: Dict[tuple, StackedScenarios] = {}
-_STACK_CACHE_SIZE = 4
+    def costs(
+        self,
+        lanes: np.ndarray,
+        entries: np.ndarray,
+        srcs: np.ndarray,
+        dsts: np.ndarray,
+    ) -> np.ndarray:
+        """The equation-4 cost of flat CSR entry ``entries[k]`` of lane
+        ``lanes[k]`` sent from ``srcs[k]`` to ``dsts[k]``."""
+        cells = (lanes * self.p_max + srcs) * self.p_max + dsts
+        return (
+            self.pred_weights[entries] * self.wdist.reshape(-1)[cells]
+            + self.routing.reshape(-1)[cells]
+        ) + self.setup.reshape(-1)[cells]
 
 
 def stack_scenarios(scenarios: List["CompiledScenario"]) -> StackedScenarios:
     """Stack *scenarios* (one per lane) into :class:`StackedScenarios` tables.
 
-    The input scenarios normally come straight from the memoized
-    :func:`compile_scenario`, so stacking the same lane group twice (repeat
-    timings, resumed sweeps) hits both memo layers and costs two tuple
-    lookups.  Lanes may repeat a scenario object; its adjacency and cost
-    blocks are then shared rather than copied.
+    Lanes whose scenarios share a graph's arrays (the same graph under
+    several machines or models, or a repeated scenario) share one
+    adjacency block instead of copying it.
     """
     if not scenarios:
         raise ValueError("cannot stack an empty scenario list")
-    key = tuple(id(sc) for sc in scenarios)
-    cached = _STACK_CACHE.get(key)
-    if cached is not None and all(
-        a is b for a, b in zip(cached.scenarios, scenarios)
-    ):
-        return cached
-
     n_lanes = len(scenarios)
     n_tasks = np.array([sc.n_tasks for sc in scenarios], dtype=np.intp)
     n_procs = np.array([sc.n_procs for sc in scenarios], dtype=np.intp)
@@ -541,33 +608,25 @@ def stack_scenarios(scenarios: List["CompiledScenario"]) -> StackedScenarios:
     pred_count = np.zeros((n_lanes, n_max), dtype=np.intp)
     succ_start = np.zeros((n_lanes, n_max), dtype=np.intp)
     succ_count = np.zeros((n_lanes, n_max), dtype=np.intp)
+    wdist = np.zeros((n_lanes, p_max, p_max), dtype=np.float64)
+    routing = np.zeros((n_lanes, p_max, p_max), dtype=np.float64)
+    setup = np.zeros((n_lanes, p_max, p_max), dtype=np.float64)
 
-    # Shared flat blocks, deduplicated by scenario identity.  The zero block
-    # at the head of ``cost_flat`` serves every zero-communication entry.
+    # Shared flat adjacency blocks, deduplicated by the identity of the
+    # graph's memoized arrays.
     pred_parts: List[np.ndarray] = []
+    weight_parts: List[np.ndarray] = []
     succ_parts: List[np.ndarray] = []
-    off_parts: List[np.ndarray] = []
-    cost_parts: List[np.ndarray] = [np.zeros(p_max * p_max, dtype=np.float64)]
     pred_len = succ_len = 0
-    cost_len = p_max * p_max
     blocks: Dict[int, tuple] = {}
     for b, sc in enumerate(scenarios):
-        block = blocks.get(id(sc))
+        block = blocks.get(id(sc.pred_ids))
         if block is None:
-            n_edges = len(sc.pred_ids)
             pred_parts.append(sc.pred_ids)
+            weight_parts.append(sc.pred_weights)
             succ_parts.append(sc.succ_ids)
-            if sc._pred_costs is None:
-                off_parts.append(np.zeros(n_edges, dtype=np.intp))
-            else:
-                p_sq = sc.n_procs * sc.n_procs
-                off_parts.append(
-                    cost_len + np.arange(n_edges, dtype=np.intp) * p_sq
-                )
-                cost_parts.append(sc._pred_costs.reshape(-1))
-                cost_len += n_edges * p_sq
-            block = blocks[id(sc)] = (pred_len, succ_len)
-            pred_len += n_edges
+            block = blocks[id(sc.pred_ids)] = (pred_len, succ_len)
+            pred_len += len(sc.pred_ids)
             succ_len += len(sc.succ_ids)
         pred_base, succ_base = block
         n = sc.n_tasks
@@ -578,8 +637,13 @@ def stack_scenarios(scenarios: List["CompiledScenario"]) -> StackedScenarios:
         pred_count[b, :n] = sc.pred_indptr[1:] - sc.pred_indptr[:-1]
         succ_start[b, :n] = succ_base + sc.succ_indptr[:-1]
         succ_count[b, :n] = sc.succ_indptr[1:] - sc.succ_indptr[:-1]
+        if sc.wdist is not None:
+            p = sc.n_procs
+            wdist[b, :p, :p] = sc.wdist
+            routing[b, :p, :p] = sc.routing
+            setup[b, :p, :p] = sc.setup
 
-    stacked = StackedScenarios(
+    return StackedScenarios(
         scenarios=list(scenarios),
         n_lanes=n_lanes,
         n_max=n_max,
@@ -591,23 +655,12 @@ def stack_scenarios(scenarios: List["CompiledScenario"]) -> StackedScenarios:
         speeds=speeds,
         pred_start=pred_start,
         pred_count=pred_count,
-        pred_ids=(
-            np.concatenate(pred_parts) if pred_parts else np.empty(0, dtype=np.intp)
-        ).astype(np.intp, copy=False),
-        cost_offset=(
-            np.concatenate(off_parts) if off_parts else np.empty(0, dtype=np.intp)
-        ).astype(np.intp, copy=False),
+        pred_ids=np.concatenate(pred_parts),
+        pred_weights=np.concatenate(weight_parts),
         succ_start=succ_start,
         succ_count=succ_count,
-        succ_ids=(
-            np.concatenate(succ_parts) if succ_parts else np.empty(0, dtype=np.intp)
-        ).astype(np.intp, copy=False),
-        # The trailing zero block keeps full-width row gathers
-        # (``base + arange(p_max)``) in bounds for the narrowest lane's last
-        # cost row without clamping; gathered pad columns are never read.
-        cost_flat=np.concatenate(cost_parts + [np.zeros(p_max, dtype=np.float64)]),
+        succ_ids=np.concatenate(succ_parts),
+        wdist=wdist,
+        routing=routing,
+        setup=setup,
     )
-    while len(_STACK_CACHE) >= _STACK_CACHE_SIZE:
-        _STACK_CACHE.pop(next(iter(_STACK_CACHE)))
-    _STACK_CACHE[key] = stacked
-    return stacked

@@ -5,7 +5,8 @@ space over a :class:`~repro.sim.compile.CompiledScenario`:
 tasks are dense integers, simulation state lives in flat arrays
 (``unfinished_preds``, ``finish_times``, ``assigned_proc``, per-processor
 free times), the event set is a plain ``(time, seq, task)`` heap, and every
-equation-4 message cost is a precompiled table lookup.  Every built-in
+equation-4 message cost is the edge weight against three precompiled
+machine tables.  Every built-in
 policy — ETF, HLF, LPT, FIFO, Random, and SA through its array-annealer
 kernel — implements
 :meth:`~repro.schedulers.base.SchedulingPolicy.fast_assign` and is driven
@@ -19,8 +20,9 @@ in the wall clock.
 
 Both fidelities are implemented:
 
-* ``"latency"`` — every inter-processor message is a single precompiled
-  table lookup (the model the SA cost function assumes);
+* ``"latency"`` — every inter-processor message costs its equation-4
+  value from the compiled machine tables (the model the SA cost function
+  assumes);
 * ``"contention"`` — messages are forwarded hop by hop over the compiled
   :class:`~repro.sim.compile.ContentionTables`: a flat per-link next-free
   timeline replaces the object engine's ``(a, b)``-keyed dict, routes are
@@ -149,9 +151,14 @@ def run_compiled(
     speeds = scenario.speeds_list
     pred_indptr, pred_ids = scenario.pred_indptr_list, scenario.pred_ids_list
     succ_indptr, succ_ids = scenario.succ_indptr_list, scenario.succ_ids_list
-    pred_weights = scenario.pred_weights
-    pred_costs = scenario._pred_costs  # None for the zero model
-    p_sq_stride = n_procs  # flat (e, src, dst) lookup stride
+    pred_weights = scenario.pred_weights_list
+    # Equation-4 machine tables, flattened over (src, dst); None for the zero
+    # model.
+    wdist = scenario.wdist
+    if wdist is not None:
+        wdist = wdist.ravel().tolist()
+        routing = scenario.routing.ravel().tolist()
+        setup = scenario.setup.ravel().tolist()
 
     # --- flat simulation state ----------------------------------------- #
     unfinished = [pred_indptr[i + 1] - pred_indptr[i] for i in range(n)]
@@ -182,7 +189,6 @@ def run_compiled(
         pair_routes = ct.routes
         link_free = [0.0] * ct.n_links
         proc_comm_free = [0.0] * n_procs
-        pred_weights_list = pred_weights.tolist()
 
     # The object-path fallback (policies without ``fast_assign``, e.g. SA —
     # or a policy whose fast path declines one epoch) sees the same
@@ -214,11 +220,12 @@ def run_compiled(
             if src == proc:
                 arrival = send_time
             else:
-                if pred_costs is None:
+                if wdist is None:
                     arrival = send_time + 0.0
                 else:
-                    arrival = send_time + pred_costs.item(
-                        (e * p_sq_stride + src) * p_sq_stride + proc
+                    k = src * n_procs + proc
+                    arrival = send_time + (
+                        (pred_weights[e] * wdist[k] + routing[k]) + setup[k]
                     )
                 if record_trace:
                     trace.message_records.append(
@@ -227,7 +234,7 @@ def run_compiled(
                             dst_task=task_ids[ti],
                             src_proc=src,
                             dst_proc=proc,
-                            weight=float(pred_weights[e]),
+                            weight=pred_weights[e],
                             send_time=send_time,
                             arrival_time=float(arrival),
                             route=tuple(machine.route(src, proc)),
@@ -278,7 +285,7 @@ def run_compiled(
             if src == proc:
                 arrival = send_time
             else:
-                weight = pred_weights_list[e]
+                weight = pred_weights[e]
                 # Link setup on the sender.
                 cf = proc_comm_free[src]
                 send_start = send_time if send_time >= cf else cf

@@ -21,15 +21,23 @@ these tests pin it five ways:
 
 from __future__ import annotations
 
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.comm.model import LinearCommModel, ZeroCommModel
 from repro.core.config import SAConfig
 from repro.core.sa_scheduler import SAScheduler
 from repro.exceptions import SchedulingError, SimulationError
+from repro.experiments.sweep import hetero_machine
 from repro.machine.machine import Machine
 from repro.schedulers.base import SchedulingPolicy
 from repro.schedulers.etf import ETFScheduler
@@ -254,6 +262,32 @@ class TestLaneStructure:
             solo, batched = _solo_and_batched(cells, fidelity=fidelity)
             _assert_lanes_identical(solo, batched)
 
+    def test_weighted_link_lanes_mix_comm_models(self):
+        """hetero-* machines (weighted links) with zero- and linear-comm
+        lanes in one lock step: every lane prices its messages from its own
+        machine tables (all zeros for the zero-comm lanes) like its solo run."""
+        machines = [
+            hetero_machine("ring9", 2.0),
+            hetero_machine("mesh16", 4.0),
+            hetero_machine("hypercube8", 1.0),
+        ]
+        factories = [
+            lambda: ETFScheduler(),
+            lambda: HLFScheduler(seed=3),
+            lambda: HLFScheduler(placement="min_comm"),
+            lambda: LPTScheduler(),
+        ]
+        combos = itertools.product(machines, (LinearCommModel(), ZeroCommModel()), factories)
+        cells = []
+        for i, (machine, comm, factory) in enumerate(combos):
+            graph = random_dag(
+                15 + i, edge_probability=0.15, mean_duration=12.0, mean_comm=6.0,
+                seed=40 + i,
+            )
+            cells.append((_compile_cell(graph, machine, comm), factory))
+        solo, batched = _solo_and_batched(cells)
+        _assert_lanes_identical(solo, batched)
+
     def test_sa_lanes_match_solo(self):
         """SA lanes (no batch kernel) run solo inside the call, identically."""
         cells = _dag_cells(
@@ -321,6 +355,26 @@ def _spy_stack(monkeypatch):
 
     monkeypatch.setattr(batch_module, "stack_scenarios", spy)
     return stacked
+
+
+def test_lane_group_leaves_numpy_ma_unimported():
+    """The lock step dedupes newly ready tasks without ``np.unique``, which
+    imports ``numpy.ma`` into every forked sweep worker."""
+    code = (
+        "import sys; "
+        "from repro.experiments.sweep import build_grid, run_lane_group; "
+        "specs = build_grid(policies=('HLF', 'ETF'), machines=('hypercube8',), "
+        "families=('dag',), n_seeds=2); "
+        "rows = run_lane_group(specs); "
+        "assert [r['engine_used'] for r in rows] == ['batched'] * 4, rows; "
+        "print('numpy.ma' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
 
 
 class TestLaneRouting:

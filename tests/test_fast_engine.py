@@ -36,7 +36,8 @@ from repro.schedulers.fifo import FIFOScheduler
 from repro.schedulers.hlf import HLFScheduler
 from repro.schedulers.lpt import LPTScheduler
 from repro.schedulers.random_policy import RandomScheduler
-from repro.sim.compile import compile_scenario, supports_comm_model
+from repro.experiments.sweep import GRAPH_FAMILIES, hetero_machine
+from repro.sim.compile import compile_scenario, stack_scenarios, supports_comm_model
 from repro.sim.engine import Simulator, simulate
 from repro.taskgraph.generators import layered_random, random_dag
 from repro.taskgraph.graph import TaskGraph
@@ -305,6 +306,23 @@ class TestDispatch:
 # CompiledScenario structure
 # --------------------------------------------------------------------------- #
 
+def _numpy_bytes(root, skip) -> int:
+    """Bytes of the numpy buffers reachable from *root*, not through *skip*."""
+    import gc
+
+    skipped = {id(obj) for obj in skip}
+    seen, total, stack = set(), 0, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or id(obj) in skipped or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray) and obj.base is None:
+            total += obj.nbytes
+        stack.extend(gc.get_referents(obj))
+    return total
+
+
 class TestCompiledScenario:
     def test_csr_layout_matches_graph(self, diamond_graph, hypercube8):
         sc = compile_scenario(diamond_graph, hypercube8, LinearCommModel())
@@ -326,6 +344,8 @@ class TestCompiledScenario:
         lambda: Machine.bus(8),
         lambda: Machine.ring(5, speeds=[1, 2, 1, 3, 1],
                              link_weights={(0, 1): 2.5, (2, 3): 0.5}),
+        lambda: hetero_machine("hypercube8", 4.0),
+        lambda: hetero_machine("mesh16", 2.0),
     ])
     def test_cost_tables_match_scalar_equation4(self, machine_factory):
         machine = machine_factory()
@@ -340,17 +360,71 @@ class TestCompiledScenario:
         sink = sc.index_of["sink"]
         entries = range(int(sc.pred_indptr[sink]), int(sc.pred_indptr[sink + 1]))
         assert sorted(float(sc.pred_weights[e]) for e in entries) == list(weights)
+        procs = np.arange(machine.n_processors)
         for e in entries:
             weight = float(sc.pred_weights[e])
             table = sc.pred_table(e)
             for u in range(machine.n_processors):
                 for v in range(machine.n_processors):
                     assert table[u, v] == model.cost(machine, weight, u, v)
+            # The gathered rows the engines and kernels read are the same.
+            rows = sc.cost_rows(np.full(len(procs), e), procs)
+            assert np.array_equal(rows, table)
 
     def test_zero_model_costs_are_free(self, diamond_graph, hypercube8):
         sc = compile_scenario(diamond_graph, hypercube8, ZeroCommModel())
         assert not sc.comm_enabled
         assert sc.pred_table(0) is None
+
+    def test_graph_half_is_shared_across_machines(
+        self, diamond_graph, hypercube8, ring9, monkeypatch
+    ):
+        calls = []
+        levels = diamond_graph.levels
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return levels(*args, **kwargs)
+
+        monkeypatch.setattr(diamond_graph, "levels", spy)
+        cube = compile_scenario(diamond_graph, hypercube8, LinearCommModel())
+        ring = compile_scenario(diamond_graph, ring9, LinearCommModel())
+        for name in (
+            "task_ids", "index_of", "durations", "levels", "pred_indptr",
+            "pred_ids", "pred_weights", "succ_indptr", "succ_ids",
+            "durations_list", "levels_list", "pred_indptr_list",
+            "pred_ids_list", "pred_weights_list", "succ_indptr_list",
+            "succ_ids_list",
+        ):
+            assert getattr(cube, name) is getattr(ring, name), name
+        assert len(calls) == 1
+        # The machine side is the scenario's own.
+        assert cube.wdist.shape == (8, 8) and ring.wdist.shape == (9, 9)
+        # A mutation rebuilds the graph half.
+        diamond_graph.add_task("e", 1.0)
+        assert compile_scenario(diamond_graph, ring9, LinearCommModel()).task_ids == [
+            "a", "b", "c", "d", "e"
+        ]
+        assert len(calls) == 2
+
+    def test_compiled_tables_stay_small(self):
+        """No per-edge ``(n_edges, P, P)`` cost tensor, solo or stacked.
+
+        Everything a dag200 x ring9 scenario holds, and everything the
+        32-lane stack of a sweep-dag200 call (16 graphs on hypercube8 and
+        ring9) holds, stays under a tenth of what such tensors would take.
+        """
+        graphs = [GRAPH_FAMILIES["dag200"](seed) for seed in range(16)]
+        machines = [Machine.hypercube(3), Machine.ring(9)]
+        scenarios = [
+            compile_scenario(g, m, LinearCommModel()) for g in graphs for m in machines
+        ]
+        tensor_bytes = [sc.pred_ids.size * sc.n_procs**2 * 8 for sc in scenarios]
+        skip = graphs + machines
+        assert scenarios[1].n_procs == 9
+        assert _numpy_bytes(scenarios[1], skip) < 0.1 * tensor_bytes[1]
+        stacked = stack_scenarios(scenarios)
+        assert _numpy_bytes(stacked, skip) < 0.1 * sum(tensor_bytes)
 
     def test_rejects_custom_comm_model(self, diamond_graph, hypercube8):
         with pytest.raises(ValueError, match="fold"):

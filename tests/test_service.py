@@ -19,12 +19,19 @@ from __future__ import annotations
 import gc
 import json
 import logging
+import os
+import signal
 import socket
+import subprocess
+import sys
 import threading
+import time
 import warnings
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.exceptions import ConfigurationError, ProtocolError
 from repro.experiments import sweep
 from repro.machine import io as machine_io
@@ -532,3 +539,46 @@ class TestShutdown:
                 assert not thread.is_alive(), thread.name
         gc.collect()
         assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+
+    def test_sigterm_retires_the_cli_workers(self):
+        """SIGTERM ends ``python -m repro.service`` through close(): every
+        pool worker that ran a job is gone within 10 s."""
+
+        def alive(pid: int) -> bool:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return False
+            return True
+
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parent.parent))
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.service", "--workers", "2"],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        pids = set()
+        try:
+            host, port = server.stdout.readline().split()[-1].rsplit(":", 1)
+            jobs = [
+                _job(graph_seed=seed, machine=machine)
+                for seed in range(4)
+                for machine in ("hypercube8", "ring9")
+            ]
+            with ServiceClient(host, int(port), timeout=120.0) as client:
+                rows = client.simulate_many(jobs)
+            pids = {row["worker_pid"] for row in rows}
+            assert len(pids) == 2, pids
+            server.terminate()
+            assert server.wait(timeout=10) == 0
+            deadline = time.monotonic() + 10.0
+            while any(alive(pid) for pid in pids) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in pids if alive(pid)]
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+            server.stdout.close()
+            for pid in pids:
+                if alive(pid):
+                    os.kill(pid, signal.SIGKILL)

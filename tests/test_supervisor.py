@@ -409,6 +409,34 @@ class TestPoolSupervision:
         # Recycling forced more distinct worker processes than pool slots.
         assert len(set(results)) > 2
 
+    def test_recycled_worker_gets_no_cell_after_its_last_reply(self, monkeypatch):
+        """A worker exits after its ``maxtasksperchild``-th reply, so it is
+        retired at that reply: no cell is sent into its closing pipe, and
+        with no retries to spare every cell still completes."""
+        from repro.experiments import supervisor
+        from repro.experiments.sweep import build_grid, run_scenario
+
+        specs = build_grid(
+            policies=("HLF",), machines=("hypercube8", "ring9"),
+            families=("layered", "dag"), n_seeds=24,
+        )
+        late = []
+        dispatch = supervisor.PoolWorker.dispatch
+
+        def spy(worker, task, timeout):
+            if worker.tasks_done >= 1:
+                late.append(task.key)
+            return dispatch(worker, task, timeout)
+
+        monkeypatch.setattr(supervisor.PoolWorker, "dispatch", spy)
+        config = SupervisorConfig(jobs=2, maxtasksperchild=1, retries=0)
+        results, stats = supervised_map(run_scenario, specs, config)
+        assert len(specs) == 96
+        assert [row["error"] for row in results] == [None] * 96
+        assert stats["worker_deaths"] == 0 and stats["retries"] == 0
+        assert stats["attempts"] == 96
+        assert late == []
+
     def test_exhausted_pool_retries_raise_worker_error(self):
         config = SupervisorConfig(jobs=2, retries=1, backoff_base=0.0)
         with pytest.raises(WorkerError, match="failed after 2 attempt"):
