@@ -88,6 +88,15 @@ MIN_PORTFOLIO_QUALITY = 1.2
 N_REPLICAS = 256
 
 
+def _update_bench_json(fields: dict) -> None:
+    """Merge *fields* into ``BENCH_sa.json`` (read-modify-write, so test
+    order or a partial run such as ``-k tiers`` cannot drop the keys the
+    other test wrote)."""
+    payload = json.loads(BENCH_JSON.read_text()) if BENCH_JSON.exists() else {}
+    payload.update(fields)
+    BENCH_JSON.write_text(json.dumps(payload, indent=1) + "\n")
+
+
 def _make_packet(n_ready: int, n_idle: int, seed: int) -> AnnealingPacket:
     """A synthetic packet in the paper's regime (many candidates, few idle procs)."""
     rng = np.random.default_rng(seed)
@@ -264,7 +273,7 @@ def test_sa_annealing_tiers_speedup(benchmark, save_artifact):
         "min_batched_speedup_asserted": MIN_BATCHED_SPEEDUP,
         "min_single_idle_speedup_asserted": MIN_SINGLE_IDLE_SPEEDUP,
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=1) + "\n")
+    _update_bench_json(payload)
 
     lines = [
         "SA annealing benchmark: walk tiers + multi-replica lanes",
@@ -350,19 +359,16 @@ def test_sa_portfolio_quality(benchmark, save_artifact):
 
     quality_min = min(entry["quality"] for entry in per_family.values())
 
-    # Fold the quality section into the baseline the speedup test wrote
-    # (read-modify-write so test order / partial runs cannot lose keys).
-    payload = json.loads(BENCH_JSON.read_text()) if BENCH_JSON.exists() else {
-        "benchmark": "bench_sa"
-    }
-    payload["portfolio_quality"] = {
-        family: entry["quality"] for family, entry in per_family.items()
-    }
-    payload["portfolio_quality_detail"] = per_family
-    payload["portfolio_quality_min"] = quality_min
-    payload["portfolio_lanes"] = PORTFOLIO_LANES
-    payload["min_portfolio_quality_asserted"] = MIN_PORTFOLIO_QUALITY
-    BENCH_JSON.write_text(json.dumps(payload, indent=1) + "\n")
+    _update_bench_json({
+        "benchmark": "bench_sa",
+        "portfolio_quality": {
+            family: entry["quality"] for family, entry in per_family.items()
+        },
+        "portfolio_quality_detail": per_family,
+        "portfolio_quality_min": quality_min,
+        "portfolio_lanes": PORTFOLIO_LANES,
+        "min_portfolio_quality_asserted": MIN_PORTFOLIO_QUALITY,
+    })
 
     lines = [
         "SA anytime portfolio vs fixed-B multi-start "

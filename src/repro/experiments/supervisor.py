@@ -23,11 +23,20 @@ graceful degradation are first-class structure:
   cells are restored from the journal and only unfinished cells re-execute,
   reproducing bit-identical aggregates.
 
+One class owns a worker's lifecycle.  :class:`PoolWorker` sends a cell,
+turns each pipe message (or the EOF of an exited process) into one event —
+progress, result, failure, stale or exit — and holds the
+``maxtasksperchild`` and deadline rules.  :func:`supervised_map` and the
+scheduling service (:mod:`repro.service.server`) both drive workers through
+it, so a death, a recycle, a raised exception and a malformed reply mean
+the same in a sweep and in the service.
+
 The pool is plumbing, not policy: cells are dispatched one at a time over a
 per-worker duplex pipe (so the supervisor always knows which worker owns
-which cell, and killing one worker cannot corrupt a shared queue), results
-return in input order, and a run with ``jobs=1`` and no supervision features
-short-circuits to a plain in-process loop.
+which cell, and killing one worker cannot corrupt a shared queue), and
+results return in input order.  A run with ``jobs=1`` and no timeout or
+chaos runs each attempt in process, through the same retry and backoff
+code as the pool.
 
 Fault injection (:mod:`repro.utils.chaos`) threads through the same worker
 wrapper, so the test suite and the CI chaos job can prove the whole ladder:
@@ -318,38 +327,119 @@ class PoolTask:
     failures: List[dict] = field(default_factory=list)
 
 
+def _failure(kind: str, error_type: str, error: str, traceback: str = "") -> dict:
+    """A failure record: ``exception``, ``malformed``, ``death`` or ``timeout``."""
+    return dict(kind=kind, error_type=error_type, error=error, traceback=traceback)
+
+
+def _error_fields(exc: BaseException) -> Tuple[str, str, str]:
+    """``(type name, message, traceback)`` of the exception being handled."""
+    return type(exc).__name__, str(exc), traceback_module.format_exc()
+
+
 class PoolWorker:
-    """One supervised worker process and its duplex pipe.
+    """One supervised worker process, its duplex pipe and its lifecycle.
 
     The worker body (:func:`_worker_loop`) receives ``(index, attempt, key,
     item)`` tuples, runs ``fn(item)`` (through chaos injection when armed)
-    and replies ``(index, attempt, ok, payload, error_tuple)``; EOF on the
-    pipe means the process exited (recycle or death).  Besides
-    :func:`supervised_map`, the long-lived scheduling service keeps these
-    workers **persistent** across requests so per-process caches stay hot;
-    ``conn.fileno()`` integrates with selector event loops.
+    and replies ``(index, attempt, ok, payload, error_tuple)``.  This class
+    is the pipe's only reader and the only owner of the worker's state:
+    :meth:`dispatch` sends one cell, :meth:`receive` turns the next message
+    (or the EOF of an exited process) into one event, and :attr:`retiring`
+    and :meth:`overdue` hold the ``maxtasksperchild`` and deadline rules.
+    :func:`supervised_map` drives workers through this API, and so does the
+    scheduling service, which keeps them **persistent** across requests so
+    per-process caches stay hot and watches ``conn.fileno()`` from its
+    event loop.
     """
 
     def __init__(self, ctx, fn, config: SupervisorConfig):
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(
             target=_worker_loop,
-            args=(child_conn, fn, config.chaos, config.maxtasksperchild),
+            args=(child_conn, fn, config.chaos),
             daemon=True,
         )
         self.proc.start()
         child_conn.close()
         self.conn = parent_conn
+        self.chaos = config.chaos
+        self.max_tasks = config.maxtasksperchild
+        #: The cell in flight (``None`` = idle) and its wall-clock deadline.
         self.current: Optional[PoolTask] = None
         self.deadline: Optional[float] = None
         self.tasks_done = 0
 
-    def dispatch(self, task: PoolTask, timeout: Optional[float]) -> None:
-        self.conn.send((task.index, task.attempt, task.key, task.item))
+    @property
+    def retiring(self) -> bool:
+        """Whether the worker has sent its ``maxtasksperchild``-th reply.
+
+        It gets no further cell: its owner shuts it down and respawns the
+        slot, which counts as a recycle.
+        """
+        return self.max_tasks is not None and self.tasks_done >= self.max_tasks
+
+    def overdue(self, now: float) -> bool:
+        """Whether the cell in flight has outlived its wall-clock deadline."""
+        return self.deadline is not None and now > self.deadline
+
+    def dispatch(self, task: PoolTask, timeout: Optional[float]) -> bool:
+        """Send *task*; ``False`` when the pipe is dead and nothing was sent
+        (the worker exited while idle, before its EOF was read)."""
+        try:
+            self.conn.send((task.index, task.attempt, task.key, task.item))
+        except (BrokenPipeError, OSError):
+            return False
         self.current = task
         self.deadline = (
             time.monotonic() + timeout if timeout is not None else None
         )
+        return True
+
+    def receive(self) -> Tuple[str, Optional[PoolTask], object]:
+        """Read one message from the worker as ``(kind, task, value)``.
+
+        ``kind`` is one of:
+
+        * ``"progress"`` — an anytime snapshot (*value*) from the cell in
+          flight, which keeps running;
+        * ``"result"`` — the cell's payload (*value*); the worker is idle;
+        * ``"failure"`` — the cell raised, or returned the chaos-injected
+          malformed payload; *value* is the failure record;
+        * ``"stale"`` — a message for a cell that is not in flight; it
+          changes nothing;
+        * ``"exit"`` — EOF: the process is gone.  *value* is the death
+          record of the cell that was in flight, or ``None`` if it was idle.
+        """
+        try:
+            index, attempt, ok, payload, err = self.conn.recv()
+        except (EOFError, OSError):
+            task, self.current, self.deadline = self.current, None, None
+            self.proc.join(timeout=5.0)
+            if task is None:
+                return "exit", None, None
+            return "exit", task, _failure(
+                "death",
+                "WorkerDeath",
+                f"worker died with exit code {self.proc.exitcode} while "
+                f"running cell {task.key} (attempt {task.attempt})",
+            )
+        task = self.current
+        if task is None or (task.index, task.attempt) != (index, attempt):
+            return "stale", task, None
+        if ok == "progress":
+            return "progress", task, payload
+        self.current = self.deadline = None
+        self.tasks_done += 1
+        if not ok:
+            return "failure", task, _failure("exception", *err)
+        if self.chaos is not None and payload == MALFORMED_PAYLOAD:
+            return "failure", task, _failure(
+                "malformed",
+                "MalformedResult",
+                "worker returned the chaos-injected malformed payload",
+            )
+        return "result", task, payload
 
     def shutdown(self, kill: bool = False) -> None:
         """Retire this worker: polite sentinel first, SIGKILL when asked."""
@@ -370,20 +460,20 @@ class PoolWorker:
             pass
 
 
-def _worker_loop(conn, fn, chaos: Optional[ChaosConfig], max_tasks: Optional[int]):
+def _worker_loop(conn, fn, chaos: Optional[ChaosConfig]):
     """Worker body: receive a cell, run it (through chaos, if armed), reply.
 
-    Exits after ``max_tasks`` cells (the supervisor reads the EOF as a clean
-    recycle) or on the ``None`` shutdown sentinel.  Every exception — the
-    cell's or an injected one — is reported as a structured failure tuple;
-    injected ``die`` faults never reach the reply.
+    Runs until the ``None`` shutdown sentinel, which its :class:`PoolWorker`
+    sends when it retires the worker (``maxtasksperchild``) or the pool
+    shuts down.  Every exception — the cell's or an injected one — is
+    reported as a structured failure tuple; injected ``die`` faults never
+    reach the reply.
     """
     # A worker forked from an event loop that handles SIGTERM (the service
     # CLI) inherits the handler and the loop's wakeup fd: restore the
     # default, or a SIGTERM meant for this worker would stop the server.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.set_wakeup_fd(-1)
-    done = 0
     while True:
         try:
             msg = conn.recv()
@@ -409,21 +499,12 @@ def _worker_loop(conn, fn, chaos: Optional[ChaosConfig], max_tasks: Optional[int
         except KeyboardInterrupt:  # pragma: no cover - interrupted mid-cell
             break
         except BaseException as exc:
-            reply = (
-                index,
-                attempt,
-                False,
-                None,
-                (type(exc).__name__, str(exc), traceback_module.format_exc()),
-            )
+            reply = (index, attempt, False, None, _error_fields(exc))
         finally:
             _PROGRESS_SENDER = None
         try:
             conn.send(reply)
         except (BrokenPipeError, OSError):  # pragma: no cover - supervisor gone
-            break
-        done += 1
-        if max_tasks is not None and done >= max_tasks:
             break
     conn.close()
 
@@ -440,15 +521,6 @@ def _new_stats(mode: str, jobs: int, n_items: int) -> dict:
         "respawns": 0,
         "recycles": 0,
         "failed_items": 0,
-    }
-
-
-def _exception_failure(exc: BaseException) -> dict:
-    return {
-        "kind": "exception",
-        "error_type": type(exc).__name__,
-        "error": str(exc),
-        "traceback": traceback_module.format_exc(),
     }
 
 
@@ -484,7 +556,10 @@ def supervised_map(
         Called once per *successful* item as it completes (checkpointing);
         terminal failures are not journaled, so a resumed run retries them.
 
-    Anytime-progress snapshots a worker streams while a cell runs (see
+    Without process isolation (``jobs=1`` or a single item, and no timeout
+    or chaos) every attempt runs in process; a retry waits out its backoff
+    first.  Both paths settle attempts through the same code.  Anytime
+    progress snapshots a worker streams while a cell runs (see
     :func:`progress_sender`) are discarded here; the scheduling service
     reads them from its own workers.
     """
@@ -492,88 +567,76 @@ def supervised_map(
     items = list(items)
     key_fn = item_key or _default_item_key
     n = len(items)
-    retries = config.retries
-
-    def _check(item, payload) -> Optional[str]:
-        """None when *payload* is valid, else a failure message."""
-        if config.chaos is not None and payload == MALFORMED_PAYLOAD:
-            return "worker returned the chaos-injected malformed payload"
-        if validate is not None:
-            try:
-                validate(item, payload)
-            except Exception as exc:
-                return f"{type(exc).__name__}: {exc}"
-        return None
-
-    def _malformed_failure(message: str) -> dict:
-        return {
-            "kind": "malformed",
-            "error_type": "MalformedResult",
-            "error": message,
-            "traceback": "",
-        }
-
-    # ------------------------------------------------------------------ #
-    # Inline path: nothing to supervise across a process boundary.
-    # ------------------------------------------------------------------ #
-    if (config.jobs <= 1 or n <= 1) and not config.needs_isolation:
-        stats = _new_stats("inline", 1, n)
-        results: List[object] = [None] * n
-        for index, item in enumerate(items):
-            key = key_fn(item)
-            failures: List[dict] = []
-            attempt = 0
-            while True:
-                attempt += 1
-                stats["attempts"] += 1
-                failure = None
-                try:
-                    payload = fn(item)
-                except Exception as exc:
-                    failure = _exception_failure(exc)
-                else:
-                    message = _check(item, payload)
-                    if message is not None:
-                        failure = _malformed_failure(message)
-                if failure is None:
-                    if annotate is not None:
-                        payload = annotate(item, payload, attempt, failures)
-                    results[index] = payload
-                    if on_result is not None:
-                        on_result(item, payload)
-                    break
-                failures.append(failure)
-                if attempt <= retries:
-                    stats["retries"] += 1
-                    time.sleep(config.backoff_delay(key, attempt))
-                    continue
-                stats["failed_items"] += 1
-                if on_failure is None:
-                    raise WorkerError(
-                        f"cell {key} failed after {attempt} attempt(s): "
-                        f"{failure['error_type']}: {failure['error']}",
-                        error_type=failure["error_type"],
-                        traceback=failure["traceback"],
-                        attempts=attempt,
-                    )
-                results[index] = on_failure(item, failures)
-                break
-        return results, stats
-
-    # ------------------------------------------------------------------ #
-    # Pool path: per-worker pipes, timeouts, respawn, recycling.
-    # ------------------------------------------------------------------ #
-    methods = mp.get_all_start_methods()
-    ctx = mp.get_context("fork" if "fork" in methods else "spawn")
-    jobs = max(1, min(config.jobs, n))
-    stats = _new_stats("pool", jobs, n)
-    results = [None] * n
-    done = [False] * n
+    inline = (config.jobs <= 1 or n <= 1) and not config.needs_isolation
+    jobs = 1 if inline else max(1, min(config.jobs, n))
+    stats = _new_stats("inline" if inline else "pool", jobs, n)
+    results: List[object] = [None] * n
     n_done = 0
     pending: List[PoolTask] = [
         PoolTask(index=i, key=key_fn(item), item=item) for i, item in enumerate(items)
     ]
     pending.reverse()  # pop() from the tail keeps input order
+
+    def _complete(task: PoolTask, payload: object, journal: bool) -> None:
+        nonlocal n_done
+        results[task.index] = payload
+        n_done += 1
+        if journal and on_result is not None:
+            on_result(task.item, payload)
+
+    def _fail_attempt(task: PoolTask, failure: dict) -> None:
+        """Record one failed attempt: requeue with backoff, or go terminal."""
+        task.failures.append(failure)
+        if task.attempt <= config.retries:
+            stats["retries"] += 1
+            delay = config.backoff_delay(task.key, task.attempt)
+            task.attempt += 1
+            task.ready_at = time.monotonic() + delay
+            pending.append(task)
+            return
+        stats["failed_items"] += 1
+        if on_failure is None:
+            raise WorkerError(
+                f"cell {task.key} failed after {task.attempt} attempt(s): "
+                f"{failure['error_type']}: {failure['error']}",
+                error_type=failure["error_type"],
+                traceback=failure["traceback"],
+                attempts=task.attempt,
+            )
+        _complete(task, on_failure(task.item, task.failures), journal=False)
+
+    def _settle(task: PoolTask, payload: object) -> None:
+        """A returned payload: validate and store it, or fail the attempt."""
+        if validate is not None:
+            try:
+                validate(task.item, payload)
+            except Exception as exc:
+                message = f"{type(exc).__name__}: {exc}"
+                _fail_attempt(task, _failure("malformed", "MalformedResult", message))
+                return
+        if annotate is not None:
+            payload = annotate(task.item, payload, task.attempt, task.failures)
+        _complete(task, payload, journal=True)
+
+    if inline:
+        while pending:
+            task = pending.pop()
+            delay = task.ready_at - time.monotonic()
+            if delay > 0:
+                time.sleep(delay)
+            stats["attempts"] += 1
+            try:
+                payload = fn(task.item)
+            except Exception as exc:
+                _fail_attempt(task, _failure("exception", *_error_fields(exc)))
+            else:
+                _settle(task, payload)
+        return results, stats
+
+    # Pool path: per-worker pipes, timeouts, respawn, recycling.
+    methods = mp.get_all_start_methods()
+    ctx = mp.get_context("fork" if "fork" in methods else "spawn")
+    workers = [PoolWorker(ctx, fn, config) for _ in range(jobs)]
 
     def _pop_ready(now: float) -> Optional[PoolTask]:
         best = None
@@ -586,202 +649,82 @@ def supervised_map(
             return None
         return pending.pop(best)
 
-    workers: List[PoolWorker] = [PoolWorker(ctx, fn, config) for _ in range(jobs)]
-
-    def _respawn(slot: int) -> None:
-        stats["respawns"] += 1
-        workers[slot] = PoolWorker(ctx, fn, config)
-
-    def _complete(task: PoolTask, payload: object, journal: bool) -> None:
-        nonlocal n_done
-        results[task.index] = payload
-        done[task.index] = True
-        n_done += 1
-        if journal and on_result is not None:
-            on_result(task.item, payload)
-
-    def _fail_attempt(task: PoolTask, failure: dict) -> None:
-        """Record one failed attempt: requeue with backoff, or go terminal."""
-        task.failures.append(failure)
-        if task.attempt <= retries:
-            stats["retries"] += 1
-            delay = config.backoff_delay(task.key, task.attempt)
-            task.attempt += 1
-            task.ready_at = time.monotonic() + delay
-            pending.append(task)
-            return
-        stats["failed_items"] += 1
-        if on_failure is None:
-            for worker in workers:
-                worker.shutdown(kill=True)
-            raise WorkerError(
-                f"cell {task.key} failed after {task.attempt} attempt(s): "
-                f"{failure['error_type']}: {failure['error']}",
-                error_type=failure["error_type"],
-                traceback=failure.get("traceback", ""),
-                attempts=task.attempt,
-            )
-        _complete(task, on_failure(task.item, task.failures), journal=False)
-
-    def _retiring(worker: PoolWorker) -> bool:
-        """Whether *worker* has sent its last reply and is exiting."""
-        return (
-            config.maxtasksperchild is not None
-            and worker.tasks_done >= config.maxtasksperchild
-        )
-
-    def _handle_exit(slot: int) -> None:
-        """A worker exited or is exiting: clean recycle or abrupt death."""
+    def _retire(slot: int, kill: bool = False) -> None:
+        """Shut down *slot*'s worker and respawn it while cells remain."""
         worker = workers[slot]
-        task = worker.current
-        worker.current = None
-        worker.proc.join(timeout=5.0)
-        exitcode = worker.proc.exitcode
-        try:
-            worker.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        if task is not None:
-            stats["worker_deaths"] += 1
-            _fail_attempt(
-                task,
-                {
-                    "kind": "death",
-                    "error_type": "WorkerDeath",
-                    "error": (
-                        f"worker died with exit code {exitcode} while "
-                        f"running cell {task.key} (attempt {task.attempt})"
-                    ),
-                    "traceback": "",
-                },
-            )
-        elif _retiring(worker):
+        worker.shutdown(kill=kill)
+        if worker.retiring:
             stats["recycles"] += 1
         if n_done < n:
-            _respawn(slot)
+            stats["respawns"] += 1
+            workers[slot] = PoolWorker(ctx, fn, config)
 
+    finished = False
     try:
         while n_done < n:
             now = time.monotonic()
-            # Reap idle workers that exited, and retire those that sent
-            # their maxtasksperchild-th reply: such a worker exits without
-            # reading its pipe again, so a cell sent to it would be lost and
-            # charged as a death.  Without this, a dead pipe would never be
-            # drained and the slot never refilled.
+            # Replace idle workers that are retiring or exited, then send
+            # ready cells to the idle workers.
             for slot, worker in enumerate(workers):
                 if worker.current is None and (
-                    _retiring(worker) or not worker.proc.is_alive()
+                    worker.retiring or not worker.proc.is_alive()
                 ):
-                    _handle_exit(slot)
-            # Dispatch ready cells to idle, live workers.
+                    _retire(slot)
             for slot, worker in enumerate(workers):
-                if worker.current is not None or not worker.proc.is_alive():
+                if worker.current is not None:
                     continue
                 task = _pop_ready(now)
                 if task is None:
                     break
-                try:
-                    worker.dispatch(task, config.timeout)
-                except (BrokenPipeError, OSError):
-                    # The worker exited between the liveness check and the
-                    # send (e.g. a recycle completing): the task never left,
-                    # so requeue it and reap/refill the slot.
-                    worker.current = None
-                    worker.deadline = None
+                if worker.dispatch(task, config.timeout):
+                    stats["attempts"] += 1
+                else:  # the worker exited since the check above
                     pending.append(task)
-                    _handle_exit(slot)
-                    continue
-                stats["attempts"] += 1
+                    _retire(slot)
 
-            # Wait for the next event: a result, a death, a deadline, or a
+            # Wait for the next event: a message, an exit, a deadline, or a
             # backoff expiry — whichever comes first.
             wait_t = _POLL_INTERVAL_S
             for worker in workers:
-                if worker.deadline is not None and worker.current is not None:
+                if worker.deadline is not None:
                     wait_t = min(wait_t, max(0.0, worker.deadline - now))
             for task in pending:
                 wait_t = min(wait_t, max(0.0, task.ready_at - now))
-            conn_map = {
-                worker.conn: slot
-                for slot, worker in enumerate(workers)
-                if worker.current is not None or worker.proc.is_alive()
-            }
-            if conn_map:
-                ready = mp_connection.wait(list(conn_map), timeout=wait_t)
-            else:  # pragma: no cover - all workers retired simultaneously
-                time.sleep(wait_t)
-                ready = []
-
-            for conn in ready:
+            conn_map = {worker.conn: slot for slot, worker in enumerate(workers)}
+            for conn in mp_connection.wait(list(conn_map), timeout=wait_t):
                 slot = conn_map[conn]
-                worker = workers[slot]
-                try:
-                    msg = conn.recv()
-                except (EOFError, OSError):
-                    _handle_exit(slot)
-                    continue
-                index, attempt, ok, payload, err = msg
-                if ok == "progress":
-                    # Out-of-band anytime snapshot: the cell is still
-                    # running, so the worker stays busy and its deadline
-                    # stands.
-                    continue
-                task = worker.current
-                worker.current = None
-                worker.deadline = None
-                worker.tasks_done += 1
-                if task is None or task.index != index or done[index]:
-                    continue  # stale reply from a superseded attempt
-                if ok:
-                    message = _check(task.item, payload)
-                    if message is None:
-                        if annotate is not None:
-                            payload = annotate(
-                                task.item, payload, task.attempt, task.failures
-                            )
-                        _complete(task, payload, journal=True)
-                    else:
-                        _fail_attempt(task, _malformed_failure(message))
-                else:
-                    error_type, error, tb = err
-                    _fail_attempt(
-                        task,
-                        {
-                            "kind": "exception",
-                            "error_type": error_type,
-                            "error": error,
-                            "traceback": tb,
-                        },
-                    )
+                kind, task, value = workers[slot].receive()
+                if kind == "result":
+                    _settle(task, value)
+                elif kind == "failure":
+                    _fail_attempt(task, value)
+                elif kind == "exit":
+                    if task is not None:
+                        stats["worker_deaths"] += 1
+                        _fail_attempt(task, value)
+                    _retire(slot)
 
             # Kill workers whose in-flight cell blew its wall-clock budget.
             now = time.monotonic()
             for slot, worker in enumerate(workers):
-                if (
-                    worker.current is not None
-                    and worker.deadline is not None
-                    and now > worker.deadline
-                ):
+                if worker.overdue(now):
                     task = worker.current
-                    worker.current = None
                     stats["timeouts"] += 1
-                    worker.shutdown(kill=True)
                     _fail_attempt(
                         task,
-                        {
-                            "kind": "timeout",
-                            "error_type": "CellTimeoutError",
-                            "error": (
-                                f"cell {task.key} exceeded the {config.timeout}s "
-                                f"wall-clock timeout (attempt {task.attempt}); "
-                                "its worker was killed"
-                            ),
-                            "traceback": "",
-                        },
+                        _failure(
+                            "timeout",
+                            "CellTimeoutError",
+                            f"cell {task.key} exceeded the {config.timeout}s "
+                            f"wall-clock timeout (attempt {task.attempt}); "
+                            "its worker was killed",
+                        ),
                     )
-                    if n_done < n:
-                        _respawn(slot)
+                    _retire(slot, kill=True)
+        finished = True
     finally:
+        # A run cut short (a cell out of attempts, a failing hook) kills
+        # its workers rather than waiting for their cells.
         for worker in workers:
-            worker.shutdown()
+            worker.shutdown(kill=not finished)
     return results, stats

@@ -313,25 +313,16 @@ _MACHINE_CACHE: Dict[str, Machine] = {}
 _WORKER_CACHE_LIMIT = 64
 
 
-def _cached_graph(family: str, seed: int):
-    key = (family, seed)
-    graph = _GRAPH_CACHE.get(key)
-    if graph is None:
-        graph = GRAPH_FAMILIES[family](seed)
-        while len(_GRAPH_CACHE) >= _WORKER_CACHE_LIMIT:
-            _GRAPH_CACHE.pop(next(iter(_GRAPH_CACHE)))
-        _GRAPH_CACHE[key] = graph
-    return graph
-
-
-def _cached_machine(name: str) -> Machine:
-    machine = _MACHINE_CACHE.get(name)
-    if machine is None:
-        machine = MACHINE_BUILDERS[name]()
-        while len(_MACHINE_CACHE) >= _WORKER_CACHE_LIMIT:
-            _MACHINE_CACHE.pop(next(iter(_MACHINE_CACHE)))
-        _MACHINE_CACHE[name] = machine
-    return machine
+def _bounded_memo(cache: dict, key, build: Callable[[], object]):
+    """``cache[key]``, made by ``build()`` on a miss; a full cache drops its
+    oldest entry first (FIFO, ``_WORKER_CACHE_LIMIT`` entries)."""
+    value = cache.get(key)
+    if value is None:
+        value = build()
+        while len(cache) >= _WORKER_CACHE_LIMIT:
+            cache.pop(next(iter(cache)))
+        cache[key] = value
+    return value
 
 
 def _spec_graph(spec: dict):
@@ -343,18 +334,16 @@ def _spec_graph(spec: dict):
     cached under that key, so repeated jobs on the same shipped graph hit
     the compiled-scenario memo exactly like registry families do.
     """
-    payload = spec.get("graph_payload")
-    if payload is None:
-        return _cached_graph(spec["family"], spec["graph_seed"])
-    key = (spec["family"], spec.get("graph_seed"))
-    graph = _GRAPH_CACHE.get(key)
-    if graph is None:
+
+    def build():
+        payload = spec.get("graph_payload")
+        if payload is None:
+            return GRAPH_FAMILIES[spec["family"]](spec["graph_seed"])
         graph = taskgraph_io.from_dict(payload)
         graph.validate()
-        while len(_GRAPH_CACHE) >= _WORKER_CACHE_LIMIT:
-            _GRAPH_CACHE.pop(next(iter(_GRAPH_CACHE)))
-        _GRAPH_CACHE[key] = graph
-    return graph
+        return graph
+
+    return _bounded_memo(_GRAPH_CACHE, (spec["family"], spec.get("graph_seed")), build)
 
 
 def _spec_machine(spec: dict) -> Machine:
@@ -365,17 +354,14 @@ def _spec_machine(spec: dict) -> Machine:
     machine object identity stable so the scenario memo (keyed on
     ``id(machine)``) stays hot across jobs that ship the same machine.
     """
-    payload = spec.get("machine_payload")
-    if payload is None:
-        return _cached_machine(spec["machine"])
-    name = spec["machine"]
-    machine = _MACHINE_CACHE.get(name)
-    if machine is None:
-        machine = machine_io.from_dict(payload)
-        while len(_MACHINE_CACHE) >= _WORKER_CACHE_LIMIT:
-            _MACHINE_CACHE.pop(next(iter(_MACHINE_CACHE)))
-        _MACHINE_CACHE[name] = machine
-    return machine
+
+    def build() -> Machine:
+        payload = spec.get("machine_payload")
+        if payload is None:
+            return MACHINE_BUILDERS[spec["machine"]]()
+        return machine_io.from_dict(payload)
+
+    return _bounded_memo(_MACHINE_CACHE, spec["machine"], build)
 
 
 def build_grid(

@@ -35,7 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--retries", type=int, default=2,
-        help="re-dispatches after a worker death before a job is failed",
+        help="re-dispatches after a failed attempt (worker death, raised "
+        "exception, malformed reply) before a job is failed",
     )
     parser.add_argument(
         "--max-tasks", type=int, default=RequestLimits.max_tasks,

@@ -3,9 +3,10 @@
 One process runs the event loop; simulation happens in the supervised pool
 workers of :mod:`repro.experiments.supervisor`, kept **persistent** across
 requests (unlike :func:`supervised_map`, which tears its pool down after
-each grid).  Each worker owns a duplex pipe whose file descriptor is
-registered with the loop (``add_reader``), so results, recycles and deaths
-all surface as ordinary readiness events — no polling thread.
+each grid).  Each worker's pipe is registered with the loop
+(``add_reader``), and :meth:`PoolWorker.receive` turns each readiness event
+into a progress snapshot, a result, a failure or an exit — no polling
+thread, and no second reading of the pipe.
 
 Request flow for a ``simulate`` job:
 
@@ -28,12 +29,15 @@ bounded in-memory registry that ``poll`` reads — including the per-packet
 while it anneals (a worker runs one job at a time, so every snapshot
 belongs to the job in flight).
 
-A worker that dies mid-job is respawned and its job is requeued at the
-head of the queue transparently (bounded by ``retries``); a job that
-exhausts its attempts gets a structured ``WorkerDeath`` response.  The
-``stats`` op exposes the counters that prove the design: dispatches,
-affinity hit rates, aggregated compile-cache traffic across workers, and
-worker lifecycle events.
+Failures follow the sweep's worker lifecycle.  A death mid-job, a raised
+exception and a malformed reply each charge the job an attempt and requeue
+it at the head of its queue (a dead worker is respawned first); a job out
+of attempts (``retries``) gets a structured error of that failure's type,
+e.g. ``WorkerDeath``.  A worker that reaches ``maxtasksperchild`` is
+replaced at its last reply, with no job charged.  The ``stats`` op exposes
+the counters that prove the design: dispatches, affinity hit rates,
+aggregated compile-cache traffic across workers, and worker lifecycle
+events.
 """
 
 from __future__ import annotations
@@ -78,7 +82,8 @@ class ServiceConfig:
     batch: int = 8
     #: Read by nothing (see ``batch``).
     window_ms: float = 2.0
-    #: Re-dispatches after a worker death (0 = fail jobs on first death).
+    #: Re-dispatches after a failed attempt: a death, a raised exception or
+    #: a malformed reply (0 = fail a job on its first failure).
     retries: int = 2
     #: Request guards (line length, payload graph size, replica fan-out).
     limits: protocol.RequestLimits = field(default_factory=protocol.RequestLimits)
@@ -436,13 +441,10 @@ class SchedulerService:
             item=job.spec,
             attempt=job.attempt,
         )
-        try:
-            slot.worker.dispatch(task, timeout=None)
-        except (BrokenPipeError, OSError):
-            # The worker exited while idle, before its EOF was read;
-            # nothing was delivered, so replace the worker and send the job
-            # to the new one without charging an attempt.
-            self._replace_worker(slot, died=False)
+        if not slot.worker.dispatch(task, timeout=None):
+            # The worker exited while idle and nothing was delivered:
+            # replace it and send the job to the new one, uncharged.
+            self._replace_worker(slot)
             self._dispatch(slot)
             return
         slot.queue.popleft()
@@ -465,64 +467,36 @@ class SchedulerService:
     # ------------------------------------------------------------------ #
 
     def _on_worker_readable(self, slot: _WorkerSlot) -> None:
-        try:
-            msg = slot.worker.conn.recv()
-        except (EOFError, OSError):
-            self._handle_worker_exit(slot)
-            return
-        index, attempt, ok, payload, err = msg
+        kind, _task, value = slot.worker.receive()
         job = slot.inflight
-        if ok == "progress":
-            # Out-of-band anytime snapshot from the still-running job: the
-            # worker stays busy.  Drop stale attempts.
-            task = slot.worker.current
-            record = self._jobs.get(job.job_id) if job is not None else None
-            if (
-                task is not None
-                and (task.index, task.attempt) == (index, attempt)
-                and record is not None
-                and record["state"] == "running"
-            ):
-                record["best_so_far"] = payload
+        if kind == "progress":
+            # An anytime snapshot from the running job: the worker stays busy.
+            record = self._jobs.get(job.job_id)
+            if record is not None and record["state"] == "running":
+                record["best_so_far"] = value
                 self._stats["progress_updates"] += 1
             return
-        slot.inflight = None
-        slot.worker.current = None
-        slot.worker.tasks_done += 1
-        limit = self.config.maxtasksperchild
-        if limit is not None and slot.worker.tasks_done >= limit:
-            # The worker exits right after this reply: retire it now, or
-            # the next job may be sent into a pipe it will never read and
-            # be charged an attempt as a worker death.
-            self._replace_worker(slot, died=False)
-        if job is None:  # pragma: no cover - stale reply after a requeue
+        if kind == "stale":  # pragma: no cover - one job in flight per worker
             return
-        if ok and isinstance(payload, list) and len(payload) == 1:
-            self._account_row(payload[0])
-            self._finish_job(job, payload[0])
-        else:
-            # The worker itself failed (chaos-injected exception, or an
-            # unpicklable row): charge an attempt and retry the job.
-            error = err or ("MalformedResult", "worker returned a malformed result")
-            self._retry(job, error[0], error[1])
-        self._dispatch(slot)
-
-    def _handle_worker_exit(self, slot: _WorkerSlot) -> None:
-        job = slot.inflight
         slot.inflight = None
-        if job is not None:
-            self._stats["worker_deaths"] += 1
-        self._replace_worker(slot, died=job is not None)
-        if job is not None:
-            self._retry(
-                job, "WorkerDeath", "worker died mid-job; the job was re-dispatched"
-            )
+        if kind == "exit" or slot.worker.retiring:
+            # The worker died, or has sent its maxtasksperchild-th reply:
+            # replace it before the next job goes out.
+            self._replace_worker(slot)
+        if kind == "result":
+            self._account_row(value[0])
+            self._finish_job(job, value[0])
+        elif value is not None:
+            # A raised exception, a malformed reply, or a death mid-job:
+            # charge an attempt and requeue the job.
+            if kind == "exit":
+                self._stats["worker_deaths"] += 1
+            self._retry(job, value)
         self._dispatch(slot)
 
-    def _replace_worker(self, slot: _WorkerSlot, died: bool) -> None:
+    def _replace_worker(self, slot: _WorkerSlot) -> None:
         self._remove_reader(slot)
-        slot.worker.current = None
-        slot.worker.shutdown(kill=died)
+        slot.worker.shutdown()
         if self._closing:
             return
         self._stats["respawns"] += 1
@@ -534,12 +508,13 @@ class SchedulerService:
         # hit-rate counters keep telling the truth.
         slot.seen.clear()
 
-    def _retry(self, job: _Job, error_type: str, message: str) -> None:
+    def _retry(self, job: _Job, failure: dict) -> None:
         """Requeue *job* at its queue head, or fail it once out of attempts."""
         record = self._jobs.get(job.job_id)
         if job.attempt > self.config.retries:
             self._stats["errors"] += 1
-            message = f"{message} (gave up after {job.attempt} attempt(s))"
+            error_type = failure["error_type"]
+            message = f"{failure['error']} (gave up after {job.attempt} attempt(s))"
             if job.job_id is None:
                 self._write(
                     job.writer,

@@ -41,7 +41,6 @@ back to the object engine for anything else.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional
 
@@ -74,13 +73,13 @@ def supports_comm_model(comm_model: CommunicationModel) -> bool:
     return type(comm_model) in (LinearCommModel, ZeroCommModel)
 
 
-#: Compiled-scenario memo, keyed weakly by graph (entries die with the
-#: graph, and the graph object itself stays pickle-clean).  Each graph maps
-#: to an insertion-ordered ``{(model type, version, machine id): (machine,
-#: scenario)}`` dict of at most ``_SCENARIO_CACHE_PER_GRAPH`` entries (FIFO
-#: eviction), so alternating machines or repeated mutation cannot grow it
-#: without bound.
-_SCENARIO_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+#: The compile memo lives on the graph (``TaskGraph._memo``, which pickling
+#: drops), so it dies with the graph even though every scenario in it
+#: refers back to the graph.  ``"tables"`` holds ``(structural version,
+#: graph-only field dict)``; ``"scenarios"`` is an insertion-ordered
+#: ``{(model type, version, machine id): (machine, scenario)}`` dict of at
+#: most ``_SCENARIO_CACHE_PER_GRAPH`` entries (FIFO eviction), so
+#: alternating machines or repeated mutation cannot grow it without bound.
 _SCENARIO_CACHE_PER_GRAPH = 8
 
 #: Process-wide memo counters.  Sweep workers snapshot them around each
@@ -276,12 +275,6 @@ class CompiledScenario:
         return (weights * self.wdist[srcs] + self.routing[srcs]) + self.setup[srcs]
 
 
-#: The graph-only half of :func:`compile_scenario`, keyed weakly by graph:
-#: ``graph -> (structural version, CompiledScenario field dict)``.  Every
-#: machine and model a graph compiles against shares these arrays.
-_GRAPH_TABLES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def _graph_tables(graph: TaskGraph) -> Dict[str, object]:
     """The machine-independent :class:`CompiledScenario` fields of *graph*.
 
@@ -290,7 +283,7 @@ def _graph_tables(graph: TaskGraph) -> Dict[str, object]:
     same objects and pays only for its machine tables.
     """
     version = getattr(graph, "_version", None)
-    entry = _GRAPH_TABLES.get(graph)
+    entry = graph._memo.get("tables")
     if entry is not None and entry[0] == version:
         return entry[1]
     task_ids = graph.tasks
@@ -333,7 +326,7 @@ def _graph_tables(graph: TaskGraph) -> Dict[str, object]:
         succ_indptr_list=succ_indptr_list,
         succ_ids_list=succ_ids_list,
     )
-    _GRAPH_TABLES[graph] = (version, tables)
+    graph._memo["tables"] = (version, tables)
     return tables
 
 
@@ -378,9 +371,7 @@ def compile_scenario(
     # (the built-in models are stateless, so the type identifies the
     # tables).  The cached machine is compared by identity: the entry keeps
     # it alive, so its ``id()`` cannot be recycled while the entry exists.
-    cache = _SCENARIO_CACHE.get(graph)
-    if cache is None:
-        cache = _SCENARIO_CACHE[graph] = {}
+    cache = graph._memo.setdefault("scenarios", {})
     key = (type(comm_model), getattr(graph, "_version", None), id(machine))
     entry = cache.get(key)
     if entry is not None and entry[0] is machine:

@@ -68,6 +68,14 @@ class TaskGraph:
         self._validated_version = -1
         self._total_work_version = -1
         self._total_work = 0.0
+        # Compiled forms of this graph (``repro.sim.compile``), kept here so
+        # they are freed with it; ``__getstate__`` leaves them out.
+        self._memo: Dict[str, object] = {}
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_memo"] = {}
+        return state
 
     # ------------------------------------------------------------------ #
     # Construction

@@ -446,18 +446,34 @@ class TestCompiledScenario:
         assert refreshed.n_tasks == 5
 
     def test_graph_stays_picklable_after_fast_simulation(self, diamond_graph, hypercube8):
-        """The scenario memo lives off-instance: simulating must not change
-        the graph's serializability (e.g. for multiprocessing workers)."""
+        """The scenario memo lives on the graph but is not pickled:
+        simulating must not change the graph's serializability (e.g. for
+        multiprocessing workers)."""
         import pickle
 
         simulate(diamond_graph, hypercube8, HLFScheduler(seed=0), record_trace=False)
         clone = pickle.loads(pickle.dumps(diamond_graph))
         assert clone.tasks == diamond_graph.tasks
+        assert clone._memo == {}
 
     def test_scenario_cache_is_bounded_per_graph(self, diamond_graph):
-        from repro.sim.compile import _SCENARIO_CACHE, _SCENARIO_CACHE_PER_GRAPH
+        from repro.sim.compile import _SCENARIO_CACHE_PER_GRAPH
 
         machines = [Machine.ring(4 + i) for i in range(_SCENARIO_CACHE_PER_GRAPH + 3)]
         for m in machines:
             compile_scenario(diamond_graph, m, LinearCommModel())
-        assert len(_SCENARIO_CACHE[diamond_graph]) <= _SCENARIO_CACHE_PER_GRAPH
+        assert len(diamond_graph._memo["scenarios"]) <= _SCENARIO_CACHE_PER_GRAPH
+
+    def test_compiled_graph_is_freed(self, hypercube8):
+        """Memoized scenarios refer back to their graph, yet must not keep
+        it alive: a long-lived worker compiles an unbounded stream of
+        graphs."""
+        import gc
+        import weakref
+
+        graph = layered_random(3, 4, seed=0)
+        compile_scenario(graph, hypercube8, LinearCommModel())
+        ref = weakref.ref(graph)
+        del graph
+        gc.collect()
+        assert ref() is None

@@ -457,6 +457,44 @@ class TestFaultTolerance:
         assert stats["jobs"]["retried"] == len(dying)
         assert stats["jobs"]["errors"] == 0
 
+    def test_raised_and_malformed_replies_are_retried_like_deaths(self):
+        """All three fault kinds take one retry path, with workers also
+        recycling: each fault the chaos plan holds for a job's attempts
+        costs exactly one retry, and every row still equals direct
+        simulation (the 48-job mix of the CI service job)."""
+        from repro.experiments.supervisor import spec_key
+
+        chaos = ChaosConfig(rate=0.2, kinds=("raise", "die", "malform"), seed=3)
+        jobs = [
+            _job(policy=("HLF", "ETF", "SA")[i % 3],
+                 machine=("hypercube8", "ring9")[(i // 3) % 2],
+                 family=("grid", "layered")[(i // 6) % 2],
+                 graph_seed=i % 3, policy_seed=i % 5, fingerprint=True)
+            for i in range(48)
+        ]
+        planned = []
+        for job in jobs:
+            key, attempt = spec_key(job_to_spec(job)), 1
+            while chaos.decide(key, attempt) is not None:
+                planned.append(chaos.decide(key, attempt))
+                attempt += 1
+        assert (len(planned), planned.count("die")) == (10, 4)
+
+        config = ServiceConfig(workers=2, retries=10, maxtasksperchild=3, chaos=chaos)
+        with serve_in_thread(config) as (host, port):
+            with ServiceClient(host, port, timeout=300.0) as client:
+                rows = client.simulate_many(jobs)
+                stats = client.stats()
+        for job, row in zip(jobs, rows):
+            direct = _direct(job)
+            assert [row.get(k) for k in sweep.SCIENCE_FIELDS] == [
+                direct.get(k) for k in sweep.SCIENCE_FIELDS
+            ], job
+            assert row["fingerprint"] == direct["fingerprint"]
+        assert stats["jobs"]["errors"] == 0
+        assert stats["jobs"]["retried"] == len(planned)
+        assert stats["workers"]["deaths"] == planned.count("die")
+
     def test_exhausted_retries_fail_with_worker_death(self):
         config = ServiceConfig(
             workers=1,
