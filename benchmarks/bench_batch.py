@@ -9,6 +9,13 @@ batch engine's contract), and the aggregate speedup must clear the loose CI
 floor (>= 2x on noisy shared runners; the committed baseline records the
 local measurement, >= 5x at 512 lanes).
 
+A second table, ``cut_ms``, times one policy's lock step
+(``_run_lock_step``, called directly, since ``run_lanes`` runs groups below
+its cut solo) against as many solo runs at 8, 16, 24 and 32 dag200 lanes.
+``run_lanes``' ``LOCK_STEP_MIN_LANES`` is the smallest of these lane counts
+at which no policy's lock step loses; the table is the evidence for it,
+not a gate.
+
 Measured numbers are persisted to ``BENCH_batch.json`` at the repository
 root — gated by ``check_floors.py`` — and rendered to
 ``benchmarks/results/batch_speedup.txt``.
@@ -26,7 +33,7 @@ import pytest
 from conftest import SWEEP_POLICIES
 from repro.comm.model import LinearCommModel
 from repro.machine.machine import Machine
-from repro.sim.batch_engine import run_lanes
+from repro.sim.batch_engine import LOCK_STEP_MIN_LANES, _run_lock_step, run_lanes
 from repro.sim.compile import compile_scenario
 from repro.sim.fast_engine import run_compiled
 from repro.taskgraph.generators import random_dag
@@ -47,14 +54,19 @@ N_LANES = int(os.environ.get("BENCH_BATCH_LANES", "512"))
 #: inflate a wall-clock measurement).
 REPEATS = 2
 
+#: Lane counts of the ``cut_ms`` table, and its timed passes per engine
+#: (alternating solo and lock step; the minimum of each is kept).
+CUT_LANES = (8, 16, 24, 32)
+CUT_REPEATS = 5
 
-def _sweep_lanes():
-    """Compile the dag200 sweep cells: N_LANES (graph, machine) scenarios."""
+
+def _sweep_lanes(n_lanes=N_LANES):
+    """Compile the dag200 sweep cells: *n_lanes* (graph, machine) scenarios."""
     graphs = [
         random_dag(
             200, edge_probability=0.08, mean_duration=15.0, mean_comm=5.0, seed=s
         )
-        for s in range((N_LANES + 1) // 2)
+        for s in range((n_lanes + 1) // 2)
     ]
     machines = [Machine.hypercube(3), Machine.ring(9)]
     comm = LinearCommModel()
@@ -62,7 +74,37 @@ def _sweep_lanes():
     for graph in graphs:
         for machine in machines:
             scenarios.append(compile_scenario(graph, machine, comm))
-    return scenarios[:N_LANES]
+    return scenarios[:n_lanes]
+
+
+def _cut_table():
+    """``{lanes: {policy: {solo, lock_step, speedup}}}`` in ms, per CUT_LANES."""
+    scenarios = _sweep_lanes(max(CUT_LANES))
+    table = {}
+    for n_lanes in CUT_LANES:
+        group = scenarios[:n_lanes]
+        row = {}
+        for name, factory in SWEEP_POLICIES.items():
+            solo_s = lock_s = float("inf")
+            for _ in range(CUT_REPEATS):
+                start = time.perf_counter()
+                solo = [run_compiled(sc, factory()) for sc in group]
+                solo_s = min(solo_s, time.perf_counter() - start)
+                lanes = [(sc, factory()) for sc in group]
+                start = time.perf_counter()
+                stepped = _run_lock_step(lanes)
+                lock_s = min(lock_s, time.perf_counter() - start)
+            for a, b in zip(solo, stepped):
+                assert a.fingerprint() == b.fingerprint(), (
+                    f"{name}: a {n_lanes}-lane lock step diverged from solo runs"
+                )
+            row[name] = {
+                "solo": round(solo_s * 1e3, 3),
+                "lock_step": round(lock_s * 1e3, 3),
+                "speedup": round(solo_s / lock_s, 2),
+            }
+        table[str(n_lanes)] = row
+    return table
 
 
 @pytest.mark.benchmark(group="batch")
@@ -94,6 +136,7 @@ def test_batch_sweep_speedup(benchmark, save_artifact):
         total_solo += solo_s
         total_batch += batch_s
     speedup = total_solo / total_batch
+    cut_ms = _cut_table()
 
     payload = {
         "benchmark": "bench_batch",
@@ -105,6 +148,8 @@ def test_batch_sweep_speedup(benchmark, save_artifact):
         "per_policy_ms": per_policy,
         "sweep_speedup": round(speedup, 2),
         "min_speedup_asserted": MIN_SPEEDUP,
+        "lock_step_min_lanes": LOCK_STEP_MIN_LANES,
+        "cut_ms": cut_ms,
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=1) + "\n")
 
@@ -123,6 +168,21 @@ def test_batch_sweep_speedup(benchmark, save_artifact):
         f"{'total':<8} {total_solo * 1e3:>8.2f}ms {total_batch * 1e3:>8.2f}ms "
         f"{speedup:>8.2f}x"
     )
+    lines += [
+        "",
+        f"One policy's lock step vs solo runs (run_lanes steps a kernel group "
+        f"of >= {LOCK_STEP_MIN_LANES} lanes):",
+        f"{'lanes':<6} " + " ".join(f"{name:>22}" for name in SWEEP_POLICIES),
+    ]
+    for n_lanes, row in cut_ms.items():
+        lines.append(
+            f"{n_lanes:<6} "
+            + " ".join(
+                f"{row[name]['solo']:>7.1f}/{row[name]['lock_step']:>7.1f}ms "
+                f"{row[name]['speedup']:>4.2f}x"
+                for name in SWEEP_POLICIES
+            )
+        )
     save_artifact("batch_speedup", "\n".join(lines))
     print("\n".join(lines))
 

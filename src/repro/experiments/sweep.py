@@ -49,8 +49,9 @@ both and diffs the cells::
 at B lanes, composing with ``--jobs`` as processes × lanes: the cells are
 cut into graph-contiguous items that run one call per policy (see
 :func:`_plan_lane_items`).  A call steps its lanes in lock step at the
-latency fidelity when the policy has a batched kernel, and runs them solo
-otherwise.  Lanes change scheduling, never numbers: every lane is
+latency fidelity when the policy has a batched kernel and the call holds at
+least ``LOCK_STEP_MIN_LANES`` of them, and runs them solo otherwise.  Lanes
+change scheduling, never numbers: every lane is
 bit-identical to its solo fast-engine run.  SA ``--replicas`` rows and
 ``--engine object`` sweeps stay out of lane items::
 
@@ -466,8 +467,9 @@ def _run_cells(rows: List[dict], rung: str) -> None:
     The whole engine ladder, ``"batched"`` → ``"fast"`` → ``"object"``.  On
     ``"batched"`` each cell is resolved, validated, reset and compiled
     through the per-worker scenario memo, and all run as one
-    :func:`~repro.sim.batch_engine.run_lanes` call (which steps the kernel
-    lanes of a latency call in lock step and runs the rest solo); on
+    :func:`~repro.sim.batch_engine.run_lanes` call (which steps a latency
+    call's kernel lanes in lock step from its cut up and runs the rest
+    solo); on
     ``"fast"`` / ``"object"`` each cell is one traceless :class:`Simulator`
     run on the spec's engine or pinned to the object engine.  Every rung
     gives the same numbers.
@@ -617,8 +619,9 @@ def lane_eligible(spec: dict) -> bool:
     Replica and portfolio cells run solo: each is already an internal batch.
     ``fast=False`` pins the object engine, which has no lane path.  A laned
     cell steps in lock step only at the latency fidelity with a policy that
-    has a ``batch_assign`` kernel; a laned SA or contention cell runs solo
-    inside its call, sharing the round trip, not the event loop.
+    has a ``batch_assign`` kernel, in a call of at least ``run_lanes``' cut;
+    any other laned cell runs solo inside its call, sharing the round trip,
+    not the event loop.
     """
     return (
         spec.get("replicas") is None

@@ -159,8 +159,9 @@ class SchedulingPolicy(ABC):
         procs)`` of global lane indices and lane-local task / processor
         indices, in any order: lanes step only at the latency fidelity,
         where an epoch's placements commute.  Defining this method is what
-        makes :func:`~repro.sim.batch_engine.run_lanes` step a lane; every
-        other lane runs alone on the solo engine.
+        makes :func:`~repro.sim.batch_engine.run_lanes` step a lane, once
+        the lanes this method serves reach its ``LOCK_STEP_MIN_LANES`` cut;
+        every other lane runs alone on the solo engine.
 
         The contract extends :meth:`fast_assign` lane-wise: for every lane
         the triples must reproduce exactly the assignment (and consume

@@ -14,19 +14,27 @@ links (through the machine's weighted distances), and the speed tie-break
 steers equal-earliest-start candidates onto fast processors, which is where
 ETF-style earliest-start heuristics recover most of the heterogeneity gain.
 
-The selection is implemented as a matrix kernel.  Earliest starts are
-*epoch-invariant*: nothing assigned during the epoch changes the arrival of
-a ready task's (already finished) predecessors, so the ``(ready × idle)``
-earliest-start matrix is computed once per :meth:`~ETFScheduler.assign` and
-the greedy loop reduces to scanning a single lexicographic order — repeated
-masked argmin over a static key is exactly "take the first unused (task,
-processor) pair in that order".  The historical O(ready²·idle²·preds)
-rescan-and-``list.remove`` loop produced identical assignments and survives
-only in the differential tests.
+The object path (:meth:`~ETFScheduler.assign`) is a matrix kernel.
+Earliest starts are *epoch-invariant*: nothing assigned during the epoch
+changes the arrival of a ready task's (already finished) predecessors, so
+the ``(ready × idle)`` earliest-start matrix is computed once per
+:meth:`~ETFScheduler.assign` and the greedy loop reduces to scanning a
+single lexicographic order (:func:`greedy_pair_order`) — repeated masked
+argmin over a static key is exactly "take the first unused (task,
+processor) pair in that order".  The historical
+O(ready²·idle²·preds) rescan-and-``list.remove`` loop produced identical
+assignments and survives only in the differential tests.
+
+The fast engine's kernel (:meth:`~ETFScheduler.fast_assign`) keeps no
+matrix.  A ready task's arrival row is a run-long invariant, so it is
+built once, in Python floats, and the task enters every processor's heaps;
+an epoch's pairs are repeated minima over the idle processors' heap heads
+— the same pairs, in the same order, as :func:`greedy_pair_order`.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
@@ -148,6 +156,115 @@ def batch_greedy_pairs(
     return np.concatenate(out_l), np.concatenate(out_r), np.concatenate(out_c)
 
 
+class _HeapRun:
+    """The run-long state of :meth:`ETFScheduler.fast_assign`.
+
+    ``status[t]`` is 0 until task *t* is first seen ready, 1 while it is
+    queued and 2 once placed.  A queued task sits in every processor's
+    heaps: in ``later[p]`` as ``(row[p], -level, t)`` while its data reaches
+    *p* after the epoch time, and in ``at_now[p]`` as ``(-level, t)`` once
+    it can start on *p* at the epoch time.  Placed tasks leave the heaps
+    lazily, when they surface at a head.
+    """
+
+    __slots__ = (
+        "scenario", "status", "n_queued", "later", "at_now", "neg_level",
+        "neg_speed", "pair_costs",
+    )
+
+    def __init__(self, scenario) -> None:
+        n_procs = scenario.n_procs
+        self.scenario = scenario
+        self.status = bytearray(scenario.n_tasks)
+        self.n_queued = 0
+        self.later: List[list] = [[] for _ in range(n_procs)]
+        self.at_now: List[list] = [[] for _ in range(n_procs)]
+        self.neg_level = [-level for level in scenario.levels_list]
+        self.neg_speed = [-speed for speed in scenario.speeds_list]
+        # Per source processor, the equation-4 machine terms towards every
+        # destination: (wdist, routing, setup).  None for the zero model.
+        self.pair_costs = None
+        if scenario.wdist is not None:
+            self.pair_costs = [
+                list(zip(wd, rt, su))
+                for wd, rt, su in zip(
+                    scenario.wdist.tolist(),
+                    scenario.routing.tolist(),
+                    scenario.setup.tolist(),
+                )
+            ]
+
+    def queue(self, tasks: List[int], packet) -> None:
+        """Build the arrival rows of newly ready *tasks* and push them.
+
+        ``row[p]`` is the latest ``finish + cost`` over the task's
+        predecessors were it placed on *p*, each cost in the engine's
+        ``(w * wdist + routing) + setup`` order, so it is bit-identical to
+        the scalar path (``max`` is exact, so accumulation order is free).
+        """
+        sc = self.scenario
+        now = packet.time
+        n_procs = sc.n_procs
+        indptr, pred_ids = sc.pred_indptr_list, sc.pred_ids_list
+        weights = sc.pred_weights_list
+        finish = memoryview(packet.finish_times)
+        assigned = memoryview(packet.assigned_proc)
+        costs = self.pair_costs
+        later, at_now = self.later, self.at_now
+        status, neg_level = self.status, self.neg_level
+        for t in tasks:
+            nl = neg_level[t]
+            lo, hi = indptr[t], indptr[t + 1]
+            if costs is None:
+                arrive = max((finish[pred_ids[e]] for e in range(lo, hi)), default=now)
+                row = [arrive] * n_procs
+            elif lo == hi:
+                row = [now] * n_procs
+            else:
+                pred = pred_ids[lo]
+                fin, w = finish[pred], weights[lo]
+                row = [fin + ((w * a + b) + c) for a, b, c in costs[assigned[pred]]]
+                for e in range(lo + 1, hi):
+                    pred = pred_ids[e]
+                    fin, w = finish[pred], weights[e]
+                    row = [
+                        r if r >= (v := fin + ((w * a + b) + c)) else v
+                        for r, (a, b, c) in zip(row, costs[assigned[pred]])
+                    ]
+            entry = (nl, t)
+            for r, cur, fut in zip(row, at_now, later):
+                if r <= now:
+                    heappush(cur, entry)
+                else:
+                    heappush(fut, (r, nl, t))
+            status[t] = 1
+        self.n_queued += len(tasks)
+
+    def head(self, p: int, now: float) -> Optional[tuple]:
+        """The greedy key ``(est, -speed, -level, task, proc)`` of *p*'s best task.
+
+        First moves the tasks whose data has reached *p* by *now* from
+        ``later[p]`` to ``at_now[p]``; ``None`` when no task is queued.
+        """
+        status = self.status
+        cur, fut = self.at_now[p], self.later[p]
+        while fut and fut[0][0] <= now:
+            _, nl, t = heappop(fut)
+            if status[t] == 1:
+                heappush(cur, (nl, t))
+        while cur:
+            nl, t = cur[0]
+            if status[t] == 1:
+                return (now, self.neg_speed[p], nl, t, p)
+            heappop(cur)
+        while fut:
+            r, nl, t = fut[0]
+            if status[t] == 1:
+                return (r, self.neg_speed[p], nl, t, p)
+            heappop(fut)
+        return None
+
+
 class ETFScheduler(SchedulingPolicy):
     """Greedy earliest-start-time scheduling over the current packet.
 
@@ -161,10 +278,10 @@ class ETFScheduler(SchedulingPolicy):
     name = "ETF"
 
     def __init__(self) -> None:
-        self._fast_cache = None  # (scenario, have_row: bool[n], rows: (n, P))
+        self._fast_cache: Optional[_HeapRun] = None
 
     def reset(self) -> None:
-        """Drop the per-run arrival-row cache of the fast path."""
+        """Drop the per-run heaps of the fast path."""
         self._fast_cache = None
 
     def _earliest_start(self, ctx: PacketContext, task: TaskId, proc: ProcId) -> float:
@@ -223,35 +340,58 @@ class ETFScheduler(SchedulingPolicy):
         }
 
     def fast_assign(self, packet) -> Optional[Dict[int, ProcId]]:
-        """Index-space ETF: cached arrival rows + one greedy scan per epoch.
+        """Index-space ETF: per-processor heaps over run-long arrival rows.
 
         A ready task's predecessor-arrival row (latest ``finish + cost`` per
         processor) is a run-long invariant — every predecessor has finished
-        and placements never change — so each row is computed once, the
-        first epoch its task shows up ready, and the per-epoch work is just
-        ``max(now, rows[ready][:, idle])`` plus the greedy scan.
+        and placements never change — so each row is built once, the first
+        epoch its task shows up ready, and the task enters every
+        processor's heaps (see :class:`_HeapRun`).  The earliest start on
+        *p* is ``max(now, row[p])``: ``now`` for the tasks in ``at_now[p]``,
+        ordered by ``(-level, task)``, and ``row[p]`` for the tasks in
+        ``later[p]``, which move to ``at_now[p]`` once ``now`` reaches it.
+        Each pair is then the minimum of the idle processors' heads under
+        ``(est, -speed, -level, task, proc)``: exactly the first-fit scan of
+        :func:`greedy_pair_order`, pair for pair and in its order, at a cost
+        of O(idle²) heads per epoch instead of a ``ready × idle`` sort.
         """
         if packet.n_idle == 0 or packet.n_ready == 0:
             return {}
         sc = packet.scenario
-        cache = self._fast_cache
-        if cache is None or cache[0] is not sc:
-            cache = (sc, np.zeros(sc.n_tasks, dtype=bool), np.empty((sc.n_tasks, sc.n_procs)))
-            self._fast_cache = cache
-        _, have, rows = cache
-        new = [ti for ti in packet.ready if not have[ti]]
-        if new:
-            rows[new] = packet.arrival_rows(new)
-            have[new] = True
-        ready = np.asarray(packet.ready, dtype=np.intp)
-        idle = np.asarray(packet.idle, dtype=np.intp)
-        est = np.maximum(rows[ready[:, None], idle[None, :]], packet.time)
-        speeds = sc.speeds[idle]
-        levels = sc.levels[ready]
-        return {
-            packet.ready[i]: packet.idle[j]
-            for i, j in greedy_pair_order(est, speeds, levels)
-        }
+        now = packet.time
+        run = self._fast_cache
+        if run is None or run.scenario is not sc:
+            run = self._fast_cache = _HeapRun(sc)
+        ready = packet.ready
+        # Queued tasks stay ready until placed, so equal counts mean that no
+        # task is newly ready.
+        if len(ready) != run.n_queued:
+            status = run.status
+            fresh = [t for t in ready if status[t] != 1]
+            if any(status[t] for t in fresh):
+                # A placed task is ready again: this is a new run.
+                run = self._fast_cache = _HeapRun(sc)
+                fresh = list(ready)
+            run.queue(fresh, packet)
+        # Every ready task is queued on every processor, so each idle
+        # processor has a head until the epoch's pairs are all taken.
+        head = run.head
+        heads = {p: head(p, now) for p in packet.idle}
+        budget = min(len(ready), len(heads))
+        status = run.status
+        assignment: Dict[int, ProcId] = {}
+        while True:
+            _, _, _, task, proc = min(heads.values())
+            assignment[task] = proc
+            status[task] = 2
+            if len(assignment) == budget:
+                break
+            del heads[proc]
+            for p, key in heads.items():
+                if key[3] == task:
+                    heads[p] = head(p, now)
+        run.n_queued -= budget
+        return assignment
 
     def batch_assign(self, epoch, policies):
         """Lane-batched ETF: shared arrival-row cache + parallel greedy passes.

@@ -13,8 +13,8 @@ engine (:mod:`repro.sim.compile` + :mod:`repro.sim.fast_engine`) runs one
 scenario in index space at both fidelities, traces included, and
 :class:`Simulator` dispatches to it automatically; the lane engine
 (:func:`repro.sim.batch_engine.run_lanes`) runs a group of compiled cells,
-stepping latency lanes with a batched policy kernel in lock step and the
-rest through :func:`run_compiled`.  Four public functions run a simulation:
+stepping latency lanes with a batched policy kernel in lock step when
+enough of them share the kernel, and the rest through :func:`run_compiled`.  Four public functions run a simulation:
 :class:`Simulator`, :func:`simulate`, :func:`run_compiled` and ``run_lanes``.
 """
 

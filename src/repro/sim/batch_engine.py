@@ -8,9 +8,17 @@ inputs:
 
 * at the latency fidelity, lanes whose policy class defines a batched
   kernel (:meth:`~repro.schedulers.base.SchedulingPolicy.batch_assign`)
-  advance in lock step when two or more of them qualify;
-* every other lane (contention fidelity, SA and custom policies, a lone
-  kernel lane) runs alone through the solo engine, :func:`run_compiled`.
+  advance in lock step when their *kernel group* — the lanes sharing a
+  policy class and placement, which one kernel call serves — holds at
+  least :data:`LOCK_STEP_MIN_LANES` lanes;
+* every other lane (contention fidelity, SA and custom policies, a kernel
+  group below the cut) runs alone through the solo engine,
+  :func:`run_compiled`.
+
+The cut is measured: a lock-step round costs a fixed set of numpy calls
+whatever the lane count, so it beats solo runs only once enough lanes share
+it.  ``benchmarks/bench_batch.py`` records both per policy at 8, 16, 24 and
+32 dag200 lanes (``BENCH_batch.json``, ``cut_ms``).
 
 The lock step advances its lanes over shared state matrices, so one round
 of numpy kernels moves every lane one event batch forward:
@@ -46,7 +54,7 @@ contract across policies, fidelities, machine mixes and ragged lane shapes.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,7 +69,18 @@ from repro.sim.compile import (
 from repro.sim.fast_engine import FIDELITIES, _validate_fast_assignment, run_compiled
 from repro.sim.results import SimulationResult
 
-__all__ = ["BatchEpoch", "run_lanes"]
+__all__ = ["BatchEpoch", "LOCK_STEP_MIN_LANES", "run_lanes"]
+
+#: The fewest lanes of one kernel group that run in lock step; a smaller
+#: group runs solo.  24 is the smallest of the lane counts in
+#: ``BENCH_batch.json``'s ``cut_ms`` at which no policy's lock step loses to
+#: its solo runs (HLF and LPT still lose at 16, LPT breaks about even at 24).
+LOCK_STEP_MIN_LANES = 24
+
+
+def _kernel_group(policy: SchedulingPolicy) -> tuple:
+    """The key of the lanes one ``batch_assign`` call serves."""
+    return (type(policy), getattr(policy, "placement", None))
 
 
 def _padded_sets(mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -156,13 +175,12 @@ class BatchEpoch:
     def arrival_rows(self, lanes: np.ndarray, tasks: np.ndarray) -> np.ndarray:
         """Predecessor-arrival rows of ready ``(lane, task)`` pairs.
 
-        The batched form of :meth:`FastPacket.arrival_rows`: row *k* holds,
-        for every processor slot, the latest ``finish + cost`` over
-        ``tasks[k]``'s predecessors on lane ``lanes[k]`` (``-inf`` without
-        predecessors).  Columns beyond a lane's processor count are
-        unspecified — callers gather valid processors only.  Values are
-        bit-identical to the solo kernel's rows: same gather, same cost
-        table entries, same exact segmented ``max``.
+        Row *k* holds, for every processor slot, the latest ``finish +
+        cost`` over ``tasks[k]``'s predecessors on lane ``lanes[k]``
+        (``-inf`` without predecessors).  Columns beyond a lane's processor
+        count are unspecified — callers gather valid processors only.
+        Values are bit-identical to the solo ETF kernel's rows: the same
+        ``(w * wdist + routing) + setup`` costs and an exact ``max``.
         """
         st = self.stacked
         starts = st.pred_start[lanes, tasks]
@@ -231,8 +249,9 @@ def run_lanes(
     RNG streams).
 
     At the latency fidelity, the lanes whose policy class defines
-    ``batch_assign`` run in lock step when there are at least two of them;
-    every other lane runs alone through :func:`run_compiled`.  Returns one
+    ``batch_assign`` run in lock step when their kernel group (policy class
+    and placement) has at least :data:`LOCK_STEP_MIN_LANES` lanes; every
+    other lane runs alone through :func:`run_compiled`.  Returns one
     :class:`SimulationResult` per lane, in input order, each bit-identical
     to the solo fast engine's result for that cell.
     """
@@ -240,14 +259,16 @@ def run_lanes(
         raise SimulationError(
             f"fidelity must be one of {FIDELITIES}, got {fidelity!r}"
         )
-    stepped = [
-        b
-        for b, (_, policy) in enumerate(lanes)
-        if fidelity == "latency"
-        and type(policy).batch_assign is not SchedulingPolicy.batch_assign
-    ]
+    groups: Dict[tuple, List[int]] = {}
+    if fidelity == "latency":
+        for b, (_, policy) in enumerate(lanes):
+            if type(policy).batch_assign is not SchedulingPolicy.batch_assign:
+                groups.setdefault(_kernel_group(policy), []).append(b)
+    stepped = sorted(
+        b for ids in groups.values() if len(ids) >= LOCK_STEP_MIN_LANES for b in ids
+    )
     results: List[Optional[SimulationResult]] = [None] * len(lanes)
-    if len(stepped) >= 2:
+    if stepped:
         for b, result in zip(stepped, _run_lock_step([lanes[b] for b in stepped])):
             results[b] = result
     for b, (scenario, policy) in enumerate(lanes):
@@ -259,7 +280,7 @@ def run_lanes(
 def _run_lock_step(
     lanes: Sequence[Tuple[CompiledScenario, SchedulingPolicy]],
 ) -> List[SimulationResult]:
-    """Run two or more batch-kernel lanes in lock step at the latency fidelity."""
+    """Run batch-kernel lanes in lock step at the latency fidelity."""
     scenarios = [sc for sc, _ in lanes]
     policies = [pol for _, pol in lanes]
     st = stack_scenarios(scenarios)
@@ -295,10 +316,9 @@ def _run_lock_step(
     # --- policy kernel groups ------------------------------------------ #
     # Lanes sharing a policy class and placement flavour are served by one
     # batch_assign call per epoch.
-    grouped = {}
+    grouped: Dict[tuple, List[int]] = {}
     for b, pol in enumerate(policies):
-        key = (type(pol), getattr(pol, "placement", None))
-        grouped.setdefault(key, []).append(b)
+        grouped.setdefault(_kernel_group(pol), []).append(b)
     groups = [(np.array(ids, dtype=np.intp), {}) for ids in grouped.values()]
     policies_arr = np.empty(n_lanes, dtype=object)
     policies_arr[:] = policies

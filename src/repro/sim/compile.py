@@ -433,47 +433,6 @@ class FastPacket:
     def n_idle(self) -> int:
         return len(self.idle)
 
-    def arrival_rows(self, tasks: List[int]) -> np.ndarray:
-        """Per-task predecessor-arrival rows over **all** processors.
-
-        Row *k* gives, for every processor *p*, the latest ``finish + cost``
-        over the predecessors of ``tasks[k]`` were it placed on *p* —
-        ``-inf`` for tasks with no predecessors.  For a *ready* task the row
-        is a run-long invariant (all predecessors have finished, and
-        placements never change), which is what lets ETF's kernel cache rows
-        across epochs; the earliest start on processor *p* at epoch time
-        ``t`` is then exactly ``max(t, row[p])``, bit-identical to the
-        scalar path (``max`` is exact, so accumulation order is free).
-
-        Evaluated as one gather over the tasks' CSR entries followed by a
-        segmented ``maximum.reduceat``.
-        """
-        sc = self.scenario
-        n_procs = sc.n_procs
-        rows = np.full((len(tasks), n_procs), -np.inf, dtype=np.float64)
-        task_arr = np.asarray(tasks, dtype=np.intp)
-        starts = sc.pred_indptr[task_arr]
-        counts = sc.pred_indptr[task_arr + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return rows
-        # Flat CSR entry indices of every (task, predecessor) pair.
-        offsets = np.zeros(len(tasks), dtype=np.intp)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        entries = np.arange(total, dtype=np.intp) + np.repeat(starts - offsets, counts)
-        preds = sc.pred_ids[entries]
-        fin = self.finish_times[preds]
-        if sc.wdist is None:
-            arrivals = np.broadcast_to(fin[:, None], (total, n_procs))
-        else:
-            arrivals = fin[:, None] + sc.cost_rows(entries, self.assigned_proc[preds])
-        # Entries are grouped by task (CSR rows are contiguous), so a
-        # segmented max over the non-empty groups folds each task's
-        # predecessors; empty groups keep -inf.
-        nonempty = np.flatnonzero(counts)
-        rows[nonempty] = np.maximum.reduceat(arrivals, offsets[nonempty], axis=0)
-        return rows
-
 
 @dataclass
 class StackedScenarios:

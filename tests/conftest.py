@@ -147,6 +147,29 @@ def golden_graphs(golden_regen) -> GoldenStore:
 
 
 @pytest.fixture
+def lock_step(monkeypatch) -> list:
+    """Step every kernel lane of a latency ``run_lanes`` call, and count them.
+
+    ``run_lanes`` runs a kernel group below ``LOCK_STEP_MIN_LANES`` lanes
+    solo, so a small test call would compare solo runs with solo runs.  This
+    lowers the cut to one lane and returns a list that gains the lane count
+    of every ``_run_lock_step`` call.
+    """
+    import repro.sim.batch_engine as batch_engine
+
+    calls: list = []
+    real = batch_engine._run_lock_step
+
+    def spy(lanes):
+        calls.append(len(lanes))
+        return real(lanes)
+
+    monkeypatch.setattr(batch_engine, "LOCK_STEP_MIN_LANES", 1)
+    monkeypatch.setattr(batch_engine, "_run_lock_step", spy)
+    return calls
+
+
+@pytest.fixture
 def diamond_graph() -> TaskGraph:
     """A 4-task diamond: a -> {b, c} -> d, with communication weights."""
     g = TaskGraph("diamond")

@@ -1,18 +1,22 @@
 """The lane engine: lane-wise bit-identity with the solo fast engine.
 
 The lane engine's contract is that every lane of a :func:`run_lanes` call
-is **bit-identical** to a solo :func:`run_compiled` run of the same cell;
-these tests pin it five ways:
+is **bit-identical** to a solo :func:`run_compiled` run of the same cell.
+``run_lanes`` steps only kernel groups of ``LOCK_STEP_MIN_LANES`` or more
+lanes, so the contract tests take the ``lock_step`` fixture, which lowers
+that cut to one lane and counts the lanes every lock step ran: each
+comparison checks that all of its kernel lanes were stepped, never solo
+against solo.  These tests pin the contract five ways:
 
 * differentially under hypothesis — batches of 2-5 mixed lanes (random
   graphs and workload-zoo families × homogeneous and heterogeneous machines
   × every kernelized policy × comm on/off), raw fingerprint equality per
   lane at both fidelities;
-* structurally — lane-count dispatch (B ∈ {1, 3, 8}), ragged lane shapes,
+* structurally — lock steps of B ∈ {1, 3, 8} lanes, ragged lane shapes,
   mixed-policy batches, SA lanes, and context-only lanes
   (``n_fallback_epochs`` parity with the solo engine);
-* by routing — which lanes step in lock step and which run solo
-  (:class:`TestLaneRouting`);
+* by routing — which lanes step in lock step and which run solo, at the
+  production cut and below it (:class:`TestLaneRouting`);
 * defensively — the batched kernel validator rejects malformed
   ``batch_assign`` triples with :class:`SchedulingError`;
 * at the API surface — empty lane lists and the bad-fidelity guard of
@@ -45,6 +49,7 @@ from repro.schedulers.fifo import FIFOScheduler
 from repro.schedulers.hlf import HLFScheduler
 from repro.schedulers.lpt import LPTScheduler
 from repro.schedulers.random_policy import RandomScheduler
+from repro.sim import batch_engine as batch_module
 from repro.sim.batch_engine import run_lanes
 from repro.sim.compile import compile_scenario
 from repro.sim.fast_engine import run_compiled
@@ -87,8 +92,12 @@ def _compile_cell(graph, machine, comm_model):
     return compile_scenario(graph, machine, comm_model)
 
 
-def _solo_and_batched(cells, fidelity="latency"):
-    """Run *cells* = [(scenario, policy factory)] both ways; return results."""
+def _solo_and_batched(cells, lock_step, fidelity="latency"):
+    """Run *cells* = [(scenario, policy factory)] both ways; return results.
+
+    *lock_step* is the fixture's spy: every lane with a batch kernel in a
+    latency call must have run in lock step.
+    """
     solo = []
     for scenario, factory in cells:
         policy = factory()
@@ -99,7 +108,15 @@ def _solo_and_batched(cells, fidelity="latency"):
         policy = factory()
         policy.reset()
         lanes.append((scenario, policy))
-    return solo, run_lanes(lanes, fidelity=fidelity)
+    before = len(lock_step)
+    batched = run_lanes(lanes, fidelity=fidelity)
+    kernel_lanes = sum(
+        fidelity == "latency"
+        and type(policy).batch_assign is not SchedulingPolicy.batch_assign
+        for _, policy in lanes
+    )
+    assert sum(lock_step[before:]) == kernel_lanes
+    return solo, batched
 
 
 def _assert_lanes_identical(solo, batched):
@@ -117,7 +134,8 @@ def _assert_lanes_identical(solo, batched):
 _SETTINGS = settings(
     max_examples=20,
     deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
+    # The lock_step fixture's cut and spy hold for every example.
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
 
 
@@ -163,14 +181,14 @@ def _lane_cells(draw):
 class TestDifferentialEquivalence:
     @given(cells=_lane_cells(), fidelity=st.sampled_from(["latency", "contention"]))
     @_SETTINGS
-    def test_every_lane_matches_its_solo_run(self, cells, fidelity):
+    def test_every_lane_matches_its_solo_run(self, cells, fidelity, lock_step):
         compiled = []
         for graph, machine, policy_name, policy_seed, comm_off in cells:
             comm_model = ZeroCommModel() if comm_off else LinearCommModel()
             scenario = _compile_cell(graph, machine, comm_model)
             factory = _POLICY_FACTORIES[policy_name]
             compiled.append((scenario, lambda f=factory, s=policy_seed: f(s)))
-        solo, batched = _solo_and_batched(compiled, fidelity=fidelity)
+        solo, batched = _solo_and_batched(compiled, lock_step, fidelity=fidelity)
         _assert_lanes_identical(solo, batched)
 
 
@@ -196,22 +214,12 @@ def _dag_cells(n, policy_factory):
 
 class TestLaneStructure:
     @pytest.mark.parametrize("n_lanes", [1, 3, 8])
-    def test_run_lanes_matches_solo_at_any_width(self, n_lanes):
-        """B ∈ {1, 3, 8} through the dispatcher, incl. the B=1 solo path."""
+    def test_run_lanes_matches_solo_at_any_width(self, n_lanes, lock_step):
+        """Lock steps of B ∈ {1, 3, 8} lanes, down to a one-lane stack."""
         cells = _dag_cells(n_lanes, lambda: HLFScheduler(seed=0))
-        solo = []
-        for scenario, factory in cells:
-            policy = factory()
-            policy.reset()
-            solo.append(run_compiled(scenario, policy))
-        lanes = []
-        for scenario, factory in cells:
-            policy = factory()
-            policy.reset()
-            lanes.append((scenario, policy))
-        _assert_lanes_identical(solo, run_lanes(lanes))
+        _assert_lanes_identical(*_solo_and_batched(cells, lock_step))
 
-    def test_ragged_lanes(self):
+    def test_ragged_lanes(self, lock_step):
         """Wildly mismatched task and processor counts batch correctly."""
         comm = LinearCommModel()
         shapes = [
@@ -226,10 +234,10 @@ class TestLaneStructure:
             (_compile_cell(graph, machine, comm), lambda: ETFScheduler())
             for graph, machine in shapes
         ]
-        solo, batched = _solo_and_batched(cells)
+        solo, batched = _solo_and_batched(cells, lock_step)
         _assert_lanes_identical(solo, batched)
 
-    def test_empty_graph_lane(self):
+    def test_empty_graph_lane(self, lock_step):
         """A zero-task lane finishes immediately without disturbing others."""
         comm = LinearCommModel()
         cells = [
@@ -239,11 +247,11 @@ class TestLaneStructure:
                            Machine.ring(5), comm),
              lambda: HLFScheduler(seed=0)),
         ]
-        solo, batched = _solo_and_batched(cells)
+        solo, batched = _solo_and_batched(cells, lock_step)
         _assert_lanes_identical(solo, batched)
         assert batched[0].makespan == 0.0
 
-    def test_mixed_policies_in_one_batch(self):
+    def test_mixed_policies_in_one_batch(self, lock_step):
         """Different kernel groups (and fallbacks) coexist in one run."""
         comm = LinearCommModel()
         graph = random_dag(25, edge_probability=0.15, mean_comm=5.0, seed=3)
@@ -259,10 +267,10 @@ class TestLaneStructure:
         ]
         cells = [(scenario, factory) for factory in factories]
         for fidelity in ("latency", "contention"):
-            solo, batched = _solo_and_batched(cells, fidelity=fidelity)
+            solo, batched = _solo_and_batched(cells, lock_step, fidelity=fidelity)
             _assert_lanes_identical(solo, batched)
 
-    def test_weighted_link_lanes_mix_comm_models(self):
+    def test_weighted_link_lanes_mix_comm_models(self, lock_step):
         """hetero-* machines (weighted links) with zero- and linear-comm
         lanes in one lock step: every lane prices its messages from its own
         machine tables (all zeros for the zero-comm lanes) like its solo run."""
@@ -285,15 +293,15 @@ class TestLaneStructure:
                 seed=40 + i,
             )
             cells.append((_compile_cell(graph, machine, comm), factory))
-        solo, batched = _solo_and_batched(cells)
+        solo, batched = _solo_and_batched(cells, lock_step)
         _assert_lanes_identical(solo, batched)
 
-    def test_sa_lanes_match_solo(self):
+    def test_sa_lanes_match_solo(self, lock_step):
         """SA lanes (no batch kernel) run solo inside the call, identically."""
         cells = _dag_cells(
             3, lambda: SAScheduler(SAConfig.paper_defaults(seed=2))
         )
-        solo, batched = _solo_and_batched(cells)
+        solo, batched = _solo_and_batched(cells, lock_step)
         _assert_lanes_identical(solo, batched)
 
 
@@ -314,16 +322,16 @@ class _CtxOnlyPolicy(SchedulingPolicy):
 
 
 class TestFallback:
-    def test_ctx_only_policy_counts_fallback_epochs(self):
+    def test_ctx_only_policy_counts_fallback_epochs(self, lock_step):
         cells = _dag_cells(3, lambda: _CtxOnlyPolicy())
-        solo, batched = _solo_and_batched(cells)
+        solo, batched = _solo_and_batched(cells, lock_step)
         _assert_lanes_identical(solo, batched)
         for result in batched:
             assert result.n_fallback_epochs > 0
 
-    def test_kernelized_policies_never_fall_back(self):
+    def test_kernelized_policies_never_fall_back(self, lock_step):
         cells = _dag_cells(3, lambda: HLFScheduler(seed=0))
-        _, batched = _solo_and_batched(cells)
+        _, batched = _solo_and_batched(cells, lock_step)
         for result in batched:
             assert result.n_fallback_epochs == 0
 
@@ -344,8 +352,6 @@ class _DecliningKernel(_CtxOnlyPolicy):
 
 def _spy_stack(monkeypatch):
     """Record the scenario ids of every ``stack_scenarios`` call."""
-    import repro.sim.batch_engine as batch_module
-
     stacked = []
     real = batch_module.stack_scenarios
 
@@ -362,11 +368,16 @@ def test_lane_group_leaves_numpy_ma_unimported():
     imports ``numpy.ma`` into every forked sweep worker."""
     code = (
         "import sys; "
+        "import repro.sim.batch_engine as batch_engine; "
+        "batch_engine.LOCK_STEP_MIN_LANES = 2; "
+        "stepped = []; real = batch_engine._run_lock_step; "
+        "batch_engine._run_lock_step = lambda lanes: stepped.append(len(lanes)) or real(lanes); "
         "from repro.experiments.sweep import build_grid, run_lane_group; "
         "specs = build_grid(policies=('HLF', 'ETF'), machines=('hypercube8',), "
         "families=('dag',), n_seeds=2); "
         "rows = run_lane_group(specs); "
         "assert [r['engine_used'] for r in rows] == ['batched'] * 4, rows; "
+        "assert stepped == [2, 2], stepped; "
         "print('numpy.ma' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parent.parent))
@@ -378,7 +389,7 @@ def test_lane_group_leaves_numpy_ma_unimported():
 
 
 class TestLaneRouting:
-    def test_latency_call_steps_only_kernel_lanes(self, monkeypatch):
+    def test_latency_call_steps_only_kernel_lanes(self, monkeypatch, lock_step):
         """HLF and ETF step together; SA and context-only lanes run solo."""
         factories = [
             lambda: HLFScheduler(seed=0),
@@ -389,37 +400,74 @@ class TestLaneRouting:
         ]
         scenarios = [scenario for scenario, _ in _dag_cells(5, None)]
         stacked = _spy_stack(monkeypatch)
-        solo, lanes = _solo_and_batched(list(zip(scenarios, factories)))
+        solo, lanes = _solo_and_batched(list(zip(scenarios, factories)), lock_step)
         _assert_lanes_identical(solo, lanes)
         assert [r.policy_name for r in lanes] == [r.policy_name for r in solo]
         assert stacked == [[id(scenarios[0]), id(scenarios[2])]]
 
-    def test_contention_call_never_stacks(self, monkeypatch):
+    def test_contention_call_never_stacks(self, monkeypatch, lock_step):
         cells = _dag_cells(3, lambda: ETFScheduler())
         stacked = _spy_stack(monkeypatch)
-        solo, lanes = _solo_and_batched(cells, fidelity="contention")
+        solo, lanes = _solo_and_batched(cells, lock_step, fidelity="contention")
         _assert_lanes_identical(solo, lanes)
         assert [r.fidelity for r in lanes] == ["contention"] * 3
         assert stacked == []
+
+    @staticmethod
+    def _cut_cells(factories):
+        """One small dag cell per policy factory, with its solo result."""
+        comm = LinearCommModel()
+        machines = [Machine.hypercube(3), Machine.ring(9)]
+        cells = []
+        for i, factory in enumerate(factories):
+            graph = random_dag(12 + i % 5, edge_probability=0.2, mean_comm=5.0, seed=i)
+            cells.append((_compile_cell(graph, machines[i % 2], comm), factory))
+        solo = [run_compiled(scenario, make()) for scenario, make in cells]
+        return cells, solo
+
+    def test_group_below_the_cut_runs_solo(self, monkeypatch):
+        """One lane short of the production cut, nothing stacks."""
+        cells, solo = self._cut_cells(
+            [lambda: HLFScheduler(seed=0)] * (batch_module.LOCK_STEP_MIN_LANES - 1)
+        )
+        stacked = _spy_stack(monkeypatch)
+        lanes = run_lanes([(scenario, make()) for scenario, make in cells])
+        _assert_lanes_identical(solo, lanes)
+        assert stacked == []
+
+    def test_group_at_the_cut_stacks(self, monkeypatch):
+        """A kernel group at the production cut stacks; a smaller group of
+        another kernel in the same call runs solo."""
+        n_lanes = batch_module.LOCK_STEP_MIN_LANES
+        cells, solo = self._cut_cells(
+            [lambda: HLFScheduler(seed=0)] * n_lanes + [ETFScheduler] * 2
+        )
+        stacked = _spy_stack(monkeypatch)
+        lanes = run_lanes([(scenario, make()) for scenario, make in cells])
+        _assert_lanes_identical(solo, lanes)
+        assert stacked == [[id(scenario) for scenario, _ in cells[:n_lanes]]]
 
     def test_lone_kernel_lane_runs_solo(self, monkeypatch):
         cells = _dag_cells(2, lambda: HLFScheduler(seed=0))
         cells[1] = (cells[1][0], lambda: _CtxOnlyPolicy())
         stacked = _spy_stack(monkeypatch)
-        solo, lanes = _solo_and_batched(cells)
+        lanes = run_lanes([(scenario, factory()) for scenario, factory in cells])
+        solo = [run_compiled(scenario, factory()) for scenario, factory in cells]
         _assert_lanes_identical(solo, lanes)
         assert stacked == []
 
-    def test_kernel_and_fast_path_both_declining_raises(self):
+    def test_kernel_and_fast_path_both_declining_raises(self, monkeypatch, lock_step):
         cells = _dag_cells(2, lambda: _DecliningKernel())
         lanes = [(scenario, factory()) for scenario, factory in cells]
         with pytest.raises(SimulationError, match="declining-kernel"):
             run_lanes(lanes)
-        # One such lane runs solo, where the context fallback serves it.
+        # Below the cut such a lane runs solo, where the context fallback
+        # serves it.
+        monkeypatch.setattr(batch_module, "LOCK_STEP_MIN_LANES", 2)
         [result] = run_lanes([(cells[0][0], _DecliningKernel())])
         assert result.n_fallback_epochs > 0
 
-    def test_declining_cell_steps_down_to_its_solo_row(self, monkeypatch):
+    def test_declining_cell_steps_down_to_its_solo_row(self, monkeypatch, lock_step):
         from repro.experiments import sweep
 
         monkeypatch.setitem(
@@ -432,6 +480,7 @@ class TestLaneRouting:
             for seed in (0, 1)
         ]
         rows = sweep.run_lane_group([dict(spec) for spec in specs])
+        assert lock_step == [2]
         for spec, row in zip(specs, rows):
             expected = sweep.run_scenario(dict(spec))
             for key in sweep.SCIENCE_FIELDS:
@@ -489,7 +538,7 @@ class TestKernelValidation:
         ("proc-dup", "processor assigned more than one task"),
         ("not-ready", "is not ready"),
     ])
-    def test_malformed_triples_rejected(self, mode, match):
+    def test_malformed_triples_rejected(self, mode, match, lock_step):
         graph = _chain_graph() if mode == "not-ready" else _two_roots_graph()
         scenario = _compile_cell(graph, Machine.hypercube(2), LinearCommModel())
         lanes = [(scenario, _BrokenKernel(mode)), (scenario, _BrokenKernel(mode))]

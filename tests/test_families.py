@@ -13,7 +13,9 @@ Four layers of coverage for the pegasus/elementary/irw families:
   bit-reproducible (fixed seed ⇒ identical structural fingerprint);
 * **differential** — each family runs through the object, fast and batched
   engines at both fidelities on homogeneous and heterogeneous machines,
-  fingerprint-identical cell for cell, plus one mixed 14-lane batch;
+  fingerprint-identical cell for cell, plus one mixed 14-lane batch (the
+  ``lock_step`` fixture steps these small lane calls, which ``run_lanes``
+  would otherwise run solo);
 * **golden** — one representative (family, machine, policy) cell per family
   is pinned in ``tests/golden/families.json`` (regenerate with
   ``python -m pytest tests/test_families.py --regen-golden``).
@@ -171,7 +173,7 @@ _MACHINES = {
 class TestEngineEquivalence:
     @pytest.mark.parametrize("machine_kind", sorted(_MACHINES))
     @pytest.mark.parametrize("key", FAMILY_KEYS)
-    def test_object_fast_and_batched_engines_agree(self, key, machine_kind):
+    def test_object_fast_and_batched_engines_agree(self, key, machine_kind, lock_step):
         graph = FAMILIES[key].build(seed=3)
         machine = _MACHINES[machine_kind]()
         comm = LinearCommModel()
@@ -190,9 +192,10 @@ class TestEngineEquivalence:
             assert obj.fingerprint() == fast.fingerprint(), f"{key}/{fidelity}"
             assert fast.fingerprint() == batched.fingerprint(), f"{key}/{fidelity}"
             assert obj.task_processor == batched.task_processor
+        assert lock_step == [1]  # the latency lane ran in lock step
 
     @pytest.mark.parametrize("fidelity", ["latency", "contention"])
-    def test_all_families_in_one_mixed_batch(self, fidelity):
+    def test_all_families_in_one_mixed_batch(self, fidelity, lock_step):
         """Fourteen ragged family lanes in lock-step match their solo runs."""
         comm = LinearCommModel()
         machines = [_MACHINES["hom"](), _MACHINES["het"]()]
@@ -211,6 +214,7 @@ class TestEngineEquivalence:
             policy.reset()
             solo = run_compiled(scenario, policy, fidelity=fidelity)
             assert solo.fingerprint() == result.fingerprint()
+        assert lock_step == ([len(lanes)] if fidelity == "latency" else [])
 
 
 # --------------------------------------------------------------------------- #

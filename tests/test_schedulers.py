@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.comm.model import LinearCommModel, ZeroCommModel
@@ -279,8 +280,6 @@ class TestETFMatrixKernelDifferential:
 
     @staticmethod
     def _machine(seed: int) -> Machine:
-        import numpy as np
-
         kind = seed % 4
         if kind == 0:
             return Machine.hypercube(3)
@@ -321,3 +320,141 @@ class TestETFMatrixKernelDifferential:
             placed={"a": 1}, finish={"a": 2.0}, time=2.0,
         )
         assert ETFScheduler().assign(ctx) == _QuadraticETFScheduler().assign(ctx)
+
+
+class TestETFHeapKernel:
+    """The fast engine's heap kernel against the object path's
+    :func:`greedy_pair_order` scan: identical assignments, in identical
+    order, with traces recorded."""
+
+    @staticmethod
+    def _both_paths(graph, machine, comm, fidelity="latency"):
+        obj = simulate(graph, machine, ETFScheduler(), comm_model=comm,
+                       fidelity=fidelity, record_trace=True, fast=False)
+        fast = simulate(graph, machine, ETFScheduler(), comm_model=comm,
+                        fidelity=fidelity, record_trace=True, fast=True)
+        assert fast.n_fallback_epochs == 0
+        assert obj.task_processor == fast.task_processor
+        assert obj.fingerprint() == fast.fingerprint()
+        return fast
+
+    @staticmethod
+    def _fan_out(width, seed):
+        """One root fanning out to *width* tasks with varied comm, then a sink."""
+        rng = np.random.default_rng(seed)
+        g = TaskGraph(f"fan{width}")
+        g.add_task("root", 3.0)
+        g.add_task("sink", 1.0)
+        for i in range(width):
+            g.add_task(i, float(rng.integers(1, 30)))
+            g.add_dependency("root", i, comm=float(rng.integers(0, 12)))
+            g.add_dependency(i, "sink", comm=float(rng.integers(0, 4)))
+        return g
+
+    @staticmethod
+    def _tie_layers(seed):
+        """Layers of equal-level tasks on integer durations and weights.
+
+        Every task of a layer has the same duration and depends on the same
+        predecessors with the same weight, so whole layers tie on level, and
+        binary-exact arithmetic makes earliest starts tie across tasks and
+        processors.
+        """
+        rng = np.random.default_rng(seed)
+        g = TaskGraph(f"ties{seed}")
+        prev = []
+        for layer in range(4):
+            width = int(rng.integers(6, 14))
+            duration = float(rng.integers(1, 4))
+            comm = float(rng.integers(0, 3))
+            names = [(layer, i) for i in range(width)]
+            for name in names:
+                g.add_task(name, duration)
+                for pred in prev:
+                    g.add_dependency(pred, name, comm=comm)
+            prev = names[: int(rng.integers(1, 4))]
+        return g
+
+    @pytest.mark.parametrize("machine_name", ["hypercube8", "hetero-ring9-4x"])
+    def test_wide_epoch_bigmerge_1k(self, machine_name):
+        """1000 producers ready at once: every pair is a tie on the epoch
+        time, broken by speed, level and task index."""
+        from repro.experiments.sweep import hetero_machine
+        from repro.taskgraph.families import FAMILIES
+
+        machine = (
+            Machine.hypercube(3) if machine_name == "hypercube8"
+            else hetero_machine("ring9", 4.0)
+        )
+        graph = FAMILIES["bigmerge"].build_large(seed=0)
+        assert sum(graph.in_degree(t) == 0 for t in graph.tasks) >= 1000
+        self._both_paths(graph, machine, LinearCommModel())
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("machine_name", ["hypercube8", "hetero-mesh16-2x"])
+    def test_wide_epoch_fan_out(self, seed, machine_name):
+        """320 tasks ready at once, with arrival rows that differ per task."""
+        from repro.experiments.sweep import hetero_machine
+
+        machine = (
+            Machine.hypercube(3) if machine_name == "hypercube8"
+            else hetero_machine("mesh16", 2.0)
+        )
+        self._both_paths(self._fan_out(320, seed), machine, LinearCommModel())
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("kind", ["ring9", "mesh16", "hypercube8"])
+    def test_equal_est_ties_on_hetero_machines(self, seed, kind):
+        """Equal earliest starts go to the faster processor, then the
+        higher level, then the lower task index — at both fidelities and
+        with or without communication."""
+        from repro.experiments.sweep import hetero_machine
+
+        machine = hetero_machine(kind, 2.0 + seed % 3)
+        graph = self._tie_layers(seed)
+        for comm in (LinearCommModel(), ZeroCommModel()):
+            for fidelity in ("latency", "contention"):
+                self._both_paths(graph, machine, comm, fidelity)
+
+    def test_tie_order_on_one_epoch(self):
+        """Six roots tied on level and start, three idle processors with
+        speeds 1, 2, 2: the fast processors go first, in index order, and
+        the pairs come back in selection order."""
+        from repro.sim.compile import FastPacket, compile_scenario
+
+        g = TaskGraph("roots")
+        for i in range(6):
+            g.add_task(i, 2.0)
+        machine = Machine.fully_connected(3, speeds=[1.0, 2.0, 2.0])
+        scenario = compile_scenario(g, machine, LinearCommModel())
+        packet = FastPacket(
+            time=0.0, ready=list(range(6)), idle=[0, 1, 2], scenario=scenario,
+            assigned_proc=np.full(6, -1, dtype=np.intp),
+            finish_times=np.zeros(6), proc_ready_time=np.zeros(3),
+        )
+        assignment = ETFScheduler().fast_assign(packet)
+        assert list(assignment.items()) == [(0, 1), (1, 2), (2, 0)]
+        ctx = make_ctx(g, machine, list(range(6)), [0, 1, 2])
+        assert list(ETFScheduler().assign(ctx).items()) == list(assignment.items())
+
+    def test_policy_reused_after_reset(self):
+        """One policy runs two scenarios and the first again, reset() between
+        runs; each run equals a fresh policy's run."""
+        from repro.sim.compile import compile_scenario
+        from repro.sim.fast_engine import run_compiled
+
+        comm = LinearCommModel()
+        scenarios = [
+            compile_scenario(self._fan_out(40, 1), Machine.ring(9), comm),
+            compile_scenario(gen.random_dag(60, edge_probability=0.1, seed=3),
+                             Machine.hypercube(3), comm),
+        ]
+        policy = ETFScheduler()
+        for scenario in scenarios + scenarios[:1]:
+            policy.reset()
+            reused = run_compiled(scenario, policy)
+            assert reused.fingerprint() == run_compiled(scenario, ETFScheduler()).fingerprint()
+        # Without reset() a rerun of the same scenario starts over as well:
+        # a task it placed turning up ready again marks a new run.
+        again = run_compiled(scenarios[0], policy)
+        assert again.fingerprint() == run_compiled(scenarios[0], ETFScheduler()).fingerprint()
