@@ -4,10 +4,9 @@ The paper does not prescribe a cooling schedule; this ablation compares the
 library default (geometric), linear and constant-temperature cooling, and the
 paper's sigmoid acceptance versus Metropolis and pure hill climbing, on the
 Newton–Euler / hypercube configuration with communication.  The point of the
-study is the design note in DESIGN.md: the staged scheduler is robust to the
-annealing details because each packet is a small optimization problem — every
-variant must stay within a few percent of the default and above the HLF
-baseline.
+study: the staged scheduler is robust to the annealing details because each
+packet is a small optimization problem — every variant must stay within a
+few percent of the default and above the HLF baseline.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ communication:
   largest gains on the communication-heavy Newton–Euler graph.
 
 Absolute speedups depend on the exact task graphs (rebuilt from structure
-here, see DESIGN.md) and on the simulator; the assertions below check the
+by ``repro.workloads``) and on the simulator; the assertions below check the
 paper's qualitative shape, not the absolute numbers.  The full regenerated
 table is written to ``benchmarks/results/table2*.txt``.
 

@@ -4,7 +4,8 @@ Every benchmark regenerates one artifact of the paper (a table or a figure)
 or one extension/ablation study.  Besides the timing collected by
 pytest-benchmark, each benchmark writes its rendered artifact to
 ``benchmarks/results/<name>.txt`` so the regenerated tables can be inspected
-and diffed against the paper (see EXPERIMENTS.md).
+and diffed against the paper (README.md, "Experiments, sweeps,
+benchmarks").
 
 The engine-speedup benchmarks (``bench_engine.py`` per fidelity="latency",
 ``bench_fidelity.py`` per fidelity="contention") share one measurement

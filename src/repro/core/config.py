@@ -82,9 +82,10 @@ class SAConfig:
         array walk stepped one temperature at a time, with
         successive-halving racing over the recorded per-temperature costs;
         culled lanes donate their remaining draw budget to the survivors.
-        Mutually exclusive with ``replicas > 1``; requires the compiled
-        sigmoid array walk (the walk that pauses between temperature steps
-        for the racing controller).
+        Mutually exclusive with ``replicas > 1`` and with
+        ``record_trajectories``; requires the compiled sigmoid array walk
+        (the walk that pauses between temperature steps for the racing
+        controller).
     """
 
     weight_balance: float = 0.5
@@ -160,6 +161,12 @@ class SAConfig:
                     "portfolio mode requires compiled=True (only the array "
                     "walk pauses between temperature steps for the racing "
                     "controller)"
+                )
+            if self.record_trajectories:
+                raise ConfigurationError(
+                    "portfolio mode records no trajectories (its racing "
+                    "lanes keep only per-temperature costs); drop "
+                    "record_trajectories or the portfolio"
                 )
 
     def moves_for_packet(self, n_ready: int, n_idle: int) -> int:

@@ -48,6 +48,7 @@ from repro.core.cost import CostBreakdown, PacketCostFunction
 from repro.core.kernel import PacketKernel
 from repro.core.moves import propose_move
 from repro.core.packet import AnnealingPacket, PacketMapping
+from repro.exceptions import ConfigurationError
 from repro.utils.rng import as_rng, split
 
 __all__ = [
@@ -275,8 +276,10 @@ class PacketAnnealer:
 
         A compiled packet that records no trajectory goes to
         :meth:`anneal_compiled` with its cost function's kernel, and so does
-        a portfolio with something to place, which races its lanes even when
-        recording.  Everything else is the reference path: one
+        a portfolio with something to place, which races its lanes and
+        records nothing: asking it for a trajectory raises
+        :class:`~repro.exceptions.ConfigurationError`.  Everything else is
+        the reference path: one
         :meth:`Annealer.run <repro.annealing.annealer.Annealer.run>` per
         chain (one per replica child), over ``comm_model.cost()`` calls for
         ``compiled=False`` or over the kernel.
@@ -303,6 +306,12 @@ class PacketAnnealer:
         cfg = self.config
         rng = as_rng(rng)
         record = cfg.record_trajectories if record_trajectory is None else record_trajectory
+        racing = cfg.portfolio is not None and packet.n_ready and packet.n_idle
+        if racing and record:
+            raise ConfigurationError(
+                "a racing portfolio records no trajectory; anneal with "
+                "record_trajectory=False or without the portfolio"
+            )
         cost_fn = PacketCostFunction(
             packet,
             machine,
@@ -312,7 +321,6 @@ class PacketAnnealer:
             compiled=cfg.compiled,
         )
         kernel = cost_fn.kernel
-        racing = cfg.portfolio is not None and packet.n_ready and packet.n_idle
         if kernel is not None and (racing or not record):
             return self.anneal_compiled(kernel, rng, seed_assignments)
         if kernel is not None:

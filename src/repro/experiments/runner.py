@@ -4,10 +4,11 @@
 and Figure 2 in one go.  The benchmark harness under ``benchmarks/`` calls
 the same per-experiment functions, so the two entry points always agree.
 
-``--jobs N`` distributes Table 2's (program × architecture × comm) cells over
-a process pool (results are identical for any job count); ``--fidelity``
-selects the simulator model used for Table 2 ("latency" — the default the SA
-cost function assumes — or the contention-aware "contention" model).
+``--jobs N`` distributes Table 2's simulations, which run as sweep rows, over
+the supervised pool (the report is identical for any job count);
+``--fidelity`` selects the simulator model used for Table 2 ("latency" — the
+default the SA cost function assumes — or the contention-aware "contention"
+model).
 ``--hetero`` appends a heterogeneous-machines extension study (speed spreads
 {1x, 2x, 4x} on weighted ring/mesh/hypercube interconnects) that goes beyond
 the paper's identical-processor setup; ``--lanes B`` runs that sweep's cells

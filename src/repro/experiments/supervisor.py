@@ -1,11 +1,11 @@
 """Supervised fault-tolerant execution for scenario sweeps.
 
-``parallel_map``'s bare ``pool.map`` could not survive a single misbehaving
-worker: a hung cell blocked the whole sweep forever, a crashed worker lost
-every in-flight cell, and a 10k-cell grid that died at cell 9,999 had to
-start over.  This module replaces it with a supervised worker pool in the
-style of distributed discrete-event control systems, where supervision and
-graceful degradation are first-class structure:
+A bare ``pool.map`` cannot survive a single misbehaving worker: a hung cell
+blocks the whole sweep forever, a crashed worker loses every in-flight cell,
+and a 10k-cell grid that dies at cell 9,999 has to start over.  This module
+is a supervised worker pool instead, in the style of distributed
+discrete-event control systems, where supervision and graceful degradation
+are first-class structure:
 
 * **Per-cell wall-clock timeouts** — a worker that exceeds ``timeout`` on
   one cell is killed (SIGKILL) and replaced; the cell is retried elsewhere.

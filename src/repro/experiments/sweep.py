@@ -67,6 +67,13 @@ and each family's >= 1000-task policy-study instance as ``<name>-1k``::
     python -m repro.experiments.sweep --families montage mapreduce \
         --jobs 4 --lanes 16 --out zoo.json
 
+The paper's four programs are the families ``NE``, ``GJ``, ``FFT`` and
+``MM``, and SA's weight tuning grid (:data:`SA_WEIGHT_GRID`) is ``SA/wc=0.3``,
+``SA`` (w_c = 0.5) and ``SA/wc=0.7``; Table 2 runs as such rows, reduced by
+:func:`reduce_cells`::
+
+    python -m repro.experiments.sweep --families NE --policies HLF SA/wc=0.3
+
 Workers memoize the deterministic graph/machine builders per process, so the
 compiled-scenario cache (``sim/compile.py``) hits across the specs a worker
 runs back to back; the report's ``meta.compile_cache`` aggregates those
@@ -100,9 +107,6 @@ cells, with rows and aggregates identical to an uninterrupted run::
 hangs, abrupt deaths, malformed rows — ``repro/utils/chaos.py``) to prove
 the ladder: a chaotic sweep must complete with science rows bit-identical
 to a fault-free run (the CI chaos job asserts exactly that).
-
-The module also exposes :func:`parallel_map`, the supervised pool helper the
-other experiment drivers (e.g. Table 2 with ``--jobs``) reuse.
 """
 
 from __future__ import annotations
@@ -114,7 +118,7 @@ import os
 import time
 import traceback as traceback_module
 from collections import Counter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -145,6 +149,7 @@ from repro.taskgraph import io as taskgraph_io
 from repro.taskgraph.generators import layered_random, random_dag
 from repro.utils.chaos import FAULT_KINDS, ChaosConfig
 from repro.utils.tabulate import format_table
+from repro.workloads.suite import PAPER_PROGRAMS
 from repro.workloads.zoo import zoo_graph_families
 
 __all__ = [
@@ -152,6 +157,7 @@ __all__ = [
     "HETERO_MACHINES",
     "GRAPH_FAMILIES",
     "POLICY_BUILDERS",
+    "SA_WEIGHT_GRID",
     "SCIENCE_FIELDS",
     "speed_ramp",
     "hetero_machine",
@@ -160,7 +166,7 @@ __all__ = [
     "run_lane_group",
     "lane_eligible",
     "run_sweep",
-    "parallel_map",
+    "reduce_cells",
     "comparable_rows",
     "comparable_aggregates",
     "format_sweep_report",
@@ -287,6 +293,12 @@ GRAPH_FAMILIES: Dict[str, Callable[[int], "object"]] = {
 # key, and at its >= 1000-task policy-study size as "<key>-1k".
 GRAPH_FAMILIES.update(zoo_graph_families())
 
+# The paper's four programs (Table 1) at their calibrated parameters.
+GRAPH_FAMILIES.update(
+    (key, lambda seed, key=key: PAPER_PROGRAMS[key].build(seed=seed))
+    for key in PAPER_PROGRAMS
+)
+
 POLICY_BUILDERS: Dict[str, Callable[[int], "object"]] = {
     "HLF": lambda seed: HLFScheduler(seed=seed),
     "HLF/min-comm": lambda seed: HLFScheduler(placement="min_comm"),
@@ -297,6 +309,17 @@ POLICY_BUILDERS: Dict[str, Callable[[int], "object"]] = {
     "Random": lambda seed: RandomScheduler(seed=seed),
     "SA": lambda seed: SAScheduler(SAConfig.paper_defaults(seed=seed)),
 }
+
+#: SA's cost-weight tuning grid (Table 2): policy key -> w_c.  "SA" is
+#: w_c = 0.5; the other variants run with w_b = 1 - w_c of the same float.
+SA_WEIGHT_GRID: Dict[str, float] = {"SA/wc=0.3": 0.3, "SA": 0.5, "SA/wc=0.7": 0.7}
+POLICY_BUILDERS.update(
+    (key, lambda seed, wc=wc: SAScheduler(
+        SAConfig.paper_defaults(seed=seed).with_weights(1.0 - wc, wc)
+    ))
+    for key, wc in SA_WEIGHT_GRID.items()
+    if key != "SA"
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -725,31 +748,6 @@ def _failure_rows(item, failures: List[dict]) -> List[dict]:
     return rows
 
 
-def parallel_map(
-    fn: Callable[[dict], dict],
-    items: Iterable[dict],
-    jobs: int = 1,
-    timeout: Optional[float] = None,
-    retries: int = 0,
-) -> List[dict]:
-    """Map *fn* over *items* on the supervised worker pool.
-
-    Results keep the input order regardless of worker scheduling, so a
-    parallel run is indistinguishable from a serial one.  The pool is the
-    supervised one from :mod:`repro.experiments.supervisor` — a hung or
-    crashed worker is killed/respawned and its item re-dispatched — but with
-    supervision features off by default (no timeout, no retries) a failure
-    raises :class:`~repro.exceptions.WorkerError` like the bare ``pool.map``
-    used to propagate exceptions.
-    """
-    results, _stats = supervised_map(
-        fn,
-        list(items),
-        SupervisorConfig(jobs=jobs, timeout=timeout, retries=retries),
-    )
-    return results
-
-
 # --------------------------------------------------------------------------- #
 # Aggregation and the sweep driver
 # --------------------------------------------------------------------------- #
@@ -782,6 +780,55 @@ def _aggregate(rows: List[dict]) -> List[dict]:
             }
         )
     return aggregates
+
+
+def reduce_cells(rows: Sequence[dict]) -> Dict[tuple, Dict[str, dict]]:
+    """Reduce result rows by the paper's protocol, one entry per cell.
+
+    A cell is the rows of one ``(family, machine, with_comm, fidelity,
+    graph_seed)``; the result maps each cell, in row order, to one entry per
+    policy.  Within a cell:
+
+    * the rows of one policy key are repeats, such as HLF's arbitrary
+      placements over policy seeds: their speedups and makespans are
+      averaged with ``np.mean`` in row order;
+    * the keys of :data:`SA_WEIGHT_GRID` are variants of one policy,
+      ``"SA"``: the variant with the lowest makespan wins, the first in row
+      order on a tie.
+
+    An entry is ``{"policy": winning key, "speedup": ..., "makespan": ...}``.
+    A cell that holds an error row raises
+    :class:`~repro.exceptions.WorkerError`.
+    """
+    cells: Dict[tuple, Dict[str, Dict[str, List[dict]]]] = {}
+    for row in rows:
+        cell = (
+            row["family"], row["machine"], row["with_comm"],
+            row.get("fidelity", "latency"), row.get("graph_seed"),
+        )
+        if row.get("error") is not None:
+            raise WorkerError(
+                f"cell {cell}: {row['policy']} failed: {row['error']}",
+                error_type=row.get("error_type") or "WorkerError",
+                traceback=row.get("traceback") or "",
+                attempts=row.get("attempts") or 1,
+            )
+        policy = "SA" if row["policy"] in SA_WEIGHT_GRID else row["policy"]
+        variants = cells.setdefault(cell, {}).setdefault(policy, {})
+        variants.setdefault(row["policy"], []).append(row)
+    reduced: Dict[tuple, Dict[str, dict]] = {}
+    for cell, policies in cells.items():
+        reduced[cell] = {}
+        for policy, variants in policies.items():
+            entries = [
+                {"policy": key,
+                 "speedup": float(np.mean([m["speedup"] for m in members])),
+                 "makespan": float(np.mean([m["makespan"] for m in members]))}
+                for key, members in variants.items()
+            ]
+            # min() keeps the first of equal makespans: the first key in row order.
+            reduced[cell][policy] = min(entries, key=lambda entry: entry["makespan"])
+    return reduced
 
 
 def _fault_taxonomy(rows: List[dict]) -> dict:
@@ -899,6 +946,34 @@ def run_sweep(
         replicas=replicas,
         portfolio=portfolio,
     )
+    config = SupervisorConfig(
+        jobs=jobs, timeout=timeout, retries=retries,
+        maxtasksperchild=maxtasksperchild, chaos=chaos, seed=supervisor_seed,
+    )
+    grid_meta = dict(
+        policies=list(policies), machines=list(machines), families=list(families),
+        n_seeds=n_seeds, base_seed=base_seed, comm=[bool(c) for c in comm],
+        fidelity=fidelity, engine={None: "auto", True: "fast", False: "object"}[fast],
+        replicas=replicas, portfolio=portfolio,
+    )
+    return _run_specs(grid, config, lanes=lanes, out=out, checkpoint=checkpoint,
+                      resume=resume, grid_meta=grid_meta)
+
+
+def _run_specs(
+    grid: List[dict],
+    config: SupervisorConfig,
+    lanes: int = 1,
+    out: Optional[str] = None,
+    checkpoint: Optional[str] = None,
+    resume: bool = False,
+    grid_meta: Optional[dict] = None,
+) -> dict:
+    """Run scenario specs under *config*; the report of :func:`run_sweep`.
+
+    The sweep driver behind :func:`run_sweep` and Table 2.  The report's
+    rows keep the order of *grid*; *grid_meta* describes the grid in ``meta``.
+    """
     for index, spec in enumerate(grid):
         spec["_key"] = spec_key(spec)
         spec["_index"] = index
@@ -922,7 +997,7 @@ def run_sweep(
     items: List[object] = list(remaining)
     if lane_specs:
         lane_set = set(lane_indices)
-        items = _plan_lane_items(lane_specs, effective_lanes, jobs)
+        items = _plan_lane_items(lane_specs, effective_lanes, config.jobs)
         items.extend(s for s in remaining if s["_index"] not in lane_set)
     else:
         effective_lanes = 1
@@ -939,20 +1014,12 @@ def run_sweep(
                     {k: v for k, v in row.items() if not k.startswith("_")},
                 )
 
-    sup_config = SupervisorConfig(
-        jobs=jobs,
-        timeout=timeout,
-        retries=retries,
-        maxtasksperchild=maxtasksperchild,
-        chaos=chaos,
-        seed=supervisor_seed,
-    )
     wall_start = time.perf_counter()
     try:
         chunks, sup_stats = supervised_map(
             _run_sweep_item,
             items,
-            sup_config,
+            config,
             item_key=_item_key,
             validate=_validate_rows,
             annotate=_annotate_rows,
@@ -982,19 +1049,10 @@ def run_sweep(
         "meta": {
             "n_simulations": len(rows),
             "n_failed": sum(1 for r in rows if r.get("error") is not None),
-            "jobs": jobs,
+            "jobs": config.jobs,
             "wall_time_s": wall,
             "total_cpu_time_s": float(sum(r["runtime_s"] for r in rows)),
-            "policies": list(policies),
-            "machines": list(machines),
-            "families": list(families),
-            "n_seeds": n_seeds,
-            "base_seed": base_seed,
-            "comm": [bool(c) for c in comm],
-            "fidelity": fidelity,
-            "engine": {None: "auto", True: "fast", False: "object"}[fast],
-            "replicas": replicas,
-            "portfolio": portfolio,
+            **(grid_meta or {}),
             "n_fallback_epochs": sum(
                 r.get("n_fallback_epochs") or 0 for r in rows
             ),
@@ -1023,20 +1081,16 @@ def run_sweep(
                 "per_lane_fallback_epochs": per_lane_fallback,
             },
             "supervisor": {
-                "timeout": timeout,
-                "retries": retries,
-                "maxtasksperchild": maxtasksperchild,
-                "seed": supervisor_seed,
-                "chaos": (
-                    None
-                    if chaos is None
-                    else {
-                        "rate": chaos.rate,
-                        "kinds": list(chaos.kinds),
-                        "seed": chaos.seed,
-                        "hang_s": chaos.hang_s,
-                    }
-                ),
+                "timeout": config.timeout,
+                "retries": config.retries,
+                "maxtasksperchild": config.maxtasksperchild,
+                "seed": config.seed,
+                "chaos": None if config.chaos is None else {
+                    "rate": config.chaos.rate,
+                    "kinds": list(config.chaos.kinds),
+                    "seed": config.chaos.seed,
+                    "hang_s": config.chaos.hang_s,
+                },
                 "stats": sup_stats,
             },
             "resume": {

@@ -6,15 +6,20 @@ the SA scheduler and the HLF list scheduler are simulated under identical
 conditions; the table reports the two speedups and the percentage gain, in
 the layout of the paper's Table 2.
 
-Measurement protocol (documented deviations are in EXPERIMENTS.md):
+Measurement protocol (README.md, "Experiments, sweeps, benchmarks"):
 
 * **HLF** places selected tasks arbitrarily (the classical algorithm gives no
   placement rule), so its speedup is reported as the mean over a few seeded
   random placements.
 * **SA** is run with the cost weights tuned over a small grid, as the paper
   prescribes ("the weight factors … can be tuned to optimize the allocation
-  for the highest speed-up"); the best speedup is reported together with the
-  winning weight.
+  for the highest speed-up"); the variant with the lowest makespan is
+  reported together with its weight.
+
+Every simulation is one sweep row (:mod:`repro.experiments.sweep`): the
+programs are the graph families ``NE``, ``GJ``, ``FFT`` and ``MM``, the weight
+variants the policies ``SA/wc=0.3``, ``SA`` and ``SA/wc=0.7``, and
+:func:`~repro.experiments.sweep.reduce_cells` reduces the rows to cells.
 """
 
 from __future__ import annotations
@@ -22,14 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-from repro.comm.model import LinearCommModel, ZeroCommModel
-from repro.core.config import SAConfig
-from repro.core.sa_scheduler import SAScheduler
-from repro.machine.machine import Machine
-from repro.schedulers.hlf import HLFScheduler
-from repro.sim.engine import simulate
+from repro.experiments.supervisor import SupervisorConfig
+from repro.experiments.sweep import SA_WEIGHT_GRID, _run_specs, reduce_cells
 from repro.utils.tabulate import format_table
 from repro.workloads.suite import PAPER_PROGRAMS
 
@@ -105,69 +104,8 @@ def paper_table2_reference(program: str, architecture: str) -> tuple:
     return PAPER_TABLE2[program][architecture]
 
 
-def _architectures() -> Dict[str, Machine]:
-    return Machine.paper_architectures()
-
-
-def _hlf_speedup(
-    graph, machine, comm_model, placement_seeds: Sequence[int], fidelity: str = "latency"
-) -> float:
-    """Mean HLF speedup over a few arbitrary-placement seeds."""
-    speedups = [
-        simulate(
-            graph,
-            machine,
-            HLFScheduler(seed=s),
-            comm_model=comm_model,
-            fidelity=fidelity,
-            record_trace=False,
-        ).speedup()
-        for s in placement_seeds
-    ]
-    return float(np.mean(speedups))
-
-
-def _sa_speedup(
-    graph,
-    machine,
-    comm_model,
-    weights: Sequence[float],
-    seed: int,
-    fidelity: str = "latency",
-) -> tuple[float, float]:
-    """Best SA speedup over the weight grid; returns (speedup, winning w_c)."""
-    best_speedup = -1.0
-    best_wc = weights[0]
-    for wc in weights:
-        config = SAConfig.paper_defaults(seed=seed).with_weights(1.0 - wc, wc)
-        result = simulate(
-            graph,
-            machine,
-            SAScheduler(config),
-            comm_model=comm_model,
-            fidelity=fidelity,
-            record_trace=False,
-        )
-        if result.speedup() > best_speedup:
-            best_speedup = result.speedup()
-            best_wc = wc
-    return best_speedup, best_wc
-
-
-def _run_cell(spec: dict) -> dict:
-    """Compute one (program, architecture, comm) cell — the ``--jobs`` pool worker."""
-    graph = PAPER_PROGRAMS[spec["program"]].build(seed=0)
-    machine = _architectures()[spec["architecture"]]
-    with_comm = spec["with_comm"]
-    comm_model = LinearCommModel() if with_comm else ZeroCommModel()
-    weights = tuple(spec["weights"]) if with_comm else (0.5,)
-    sa_speedup, wc = _sa_speedup(
-        graph, machine, comm_model, weights, spec["seed"], spec["fidelity"]
-    )
-    hlf_speedup = _hlf_speedup(
-        graph, machine, comm_model, tuple(spec["hlf_seeds"]), spec["fidelity"]
-    )
-    return dict(spec, speedup_sa=sa_speedup, speedup_hlf=hlf_speedup, sa_weight_comm=wc)
+#: Table 2's architectures: display name -> sweep machine key.
+_ARCHITECTURES = {"Hypercube (8p)": "hypercube8", "Bus (8p)": "bus8", "Ring (9p)": "ring9"}
 
 
 def run_table2(
@@ -185,54 +123,54 @@ def run_table2(
     programs:
         Subset of program keys to run (default: all four, i.e. NE GJ FFT MM).
     seed:
-        Seed for the workload generators (the graphs themselves use seed 0,
-        the calibrated instances) and the SA scheduler.
+        Seed of the SA scheduler (the graphs use seed 0, the calibrated
+        instances).
     sa_weights:
         Grid of communication weights ``w_c`` over which SA is tuned for the
-        "with communication" columns; the "without" columns use 0.5 (the
-        weights are irrelevant when communication is free).
+        "with communication" columns, each a value of
+        :data:`~repro.experiments.sweep.SA_WEIGHT_GRID`; the "without" columns
+        use 0.5 (the weights are irrelevant when communication is free).
     hlf_placement_seeds:
         Seeds of the arbitrary HLF placements averaged into the baseline.
     fidelity:
         Simulator fidelity ("latency" or "contention").
     jobs:
-        Worker processes over the (program, architecture, comm) cells.  Every
-        cell carries its own seeds, so results are identical for any job
-        count.
+        Worker processes over the simulations.  Every simulation carries its
+        own seeds, so results are identical for any job count.
     """
-    from repro.experiments.sweep import parallel_map
-
     program_keys = programs if programs is not None else list(PAPER_PROGRAMS.keys())
-    arch_names = list(_architectures().keys())
-    specs = [
-        {
-            "program": key,
-            "architecture": arch_name,
-            "with_comm": with_comm,
-            "weights": list(sa_weights),
-            "hlf_seeds": list(hlf_placement_seeds),
-            "seed": seed,
-            "fidelity": fidelity,
-        }
-        for key in program_keys
-        for arch_name in arch_names
-        for with_comm in (False, True)
-    ]
-    cells = parallel_map(_run_cell, specs, jobs=jobs)
+    sa_key = {wc: key for key, wc in SA_WEIGHT_GRID.items()}
+    specs = []
+    for key in program_keys:
+        for machine in _ARCHITECTURES.values():
+            for with_comm in (False, True):
+                weights = sa_weights if with_comm else (0.5,)
+                runs = [(sa_key[wc], seed) for wc in weights]
+                runs += [("HLF", s) for s in hlf_placement_seeds]
+                specs += [
+                    {
+                        "policy": policy, "machine": machine, "family": key,
+                        "graph_seed": 0, "policy_seed": policy_seed,
+                        "with_comm": with_comm, "fidelity": fidelity,
+                    }
+                    for policy, policy_seed in runs
+                ]
+    cells = reduce_cells(_run_specs(specs, SupervisorConfig(jobs=jobs))["results"])
     blocks: List[Table2Block] = []
     for key in program_keys:
         block = Table2Block(program=PAPER_PROGRAMS[key].display_name)
-        block.cells = [
-            Table2Cell(
-                architecture=c["architecture"],
-                with_communication=c["with_comm"],
-                speedup_sa=c["speedup_sa"],
-                speedup_hlf=c["speedup_hlf"],
-                sa_weight_comm=c["sa_weight_comm"],
-            )
-            for c in cells
-            if c["program"] == key
-        ]
+        for architecture, machine in _ARCHITECTURES.items():
+            for with_comm in (False, True):
+                cell = cells[(key, machine, with_comm, fidelity, 0)]
+                block.cells.append(
+                    Table2Cell(
+                        architecture=architecture,
+                        with_communication=with_comm,
+                        speedup_sa=cell["SA"]["speedup"],
+                        speedup_hlf=cell["HLF"]["speedup"],
+                        sa_weight_comm=SA_WEIGHT_GRID[cell["SA"]["policy"]],
+                    )
+                )
         blocks.append(block)
     return blocks
 

@@ -107,6 +107,14 @@ def golden_table2(golden_regen) -> GoldenStore:
 
 
 @pytest.fixture(scope="session")
+def golden_table2_tuned(golden_regen) -> GoldenStore:
+    """Golden speedups and winning w_c of the 48 tuned Table-2 cells."""
+    store = GoldenStore(GOLDEN_DIR / "table2_tuned.json", golden_regen)
+    yield store
+    store.flush()
+
+
+@pytest.fixture(scope="session")
 def golden_random(golden_regen) -> GoldenStore:
     """Golden fingerprints for the random-graph scenarios."""
     store = GoldenStore(GOLDEN_DIR / "random_graphs.json", golden_regen)

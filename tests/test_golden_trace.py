@@ -3,7 +3,10 @@
 Every (program, architecture, communication) cell of the paper's Table 2 is
 simulated under the canonical SA configuration and compared bit-for-bit —
 makespan, packet count, message count and every task's ``[processor, start,
-finish]`` triple — against the fixtures in ``tests/golden/``.  Two
+finish]`` triple — against the fixtures in ``tests/golden/``.
+``table2_tuned.json`` pins what ``run_table2`` reports for all 24 cells at
+both fidelities: the tuned SA speedup, the mean HLF speedup and the winning
+w_c.  Two
 random-graph scenarios pin the generator + sweep stack the same way, and
 ``lanes.json`` pins multi-lane SA (``replicas=4`` and ``portfolio=4``) on
 both simulation engines, together with each run's total proposals, rung
@@ -31,6 +34,7 @@ from repro.comm.model import LinearCommModel, ZeroCommModel
 from repro.core.config import SAConfig
 from repro.core.sa_scheduler import SAScheduler
 from repro.experiments.sweep import GRAPH_FAMILIES, MACHINE_BUILDERS
+from repro.experiments.table2 import run_table2
 from repro.machine.machine import Machine
 from repro.sim.engine import simulate
 from repro.taskgraph.generators import layered_random, random_dag
@@ -76,6 +80,27 @@ def test_table2_cell_matches_golden_trace(program, architecture, comm, golden_ta
     # Sanity beyond the byte-diff: the schedule itself must be valid.
     result.trace.validate(PAPER_PROGRAMS[program].build(seed=0))
     golden_table2.check(f"{program}|{architecture}|{comm}", result.fingerprint())
+
+
+@pytest.mark.parametrize("fidelity", ("latency", "contention"))
+def test_tuned_table2_matches_golden(fidelity, golden_table2_tuned):
+    """Table 2 as reported: best-of-w_c SA, HLF mean over placement seeds."""
+    blocks = run_table2(fidelity=fidelity)
+    assert [block.program for block in blocks] == [
+        PAPER_PROGRAMS[key].display_name for key in PROGRAMS
+    ]
+    for program, block in zip(PROGRAMS, blocks):
+        assert len(block.cells) == 2 * len(ARCHITECTURES)
+        for cell in block.cells:
+            comm = "with" if cell.with_communication else "wo"
+            golden_table2_tuned.check(
+                f"{fidelity}|{program}|{cell.architecture}|{comm}",
+                {
+                    "speedup_sa": cell.speedup_sa,
+                    "speedup_hlf": cell.speedup_hlf,
+                    "sa_weight_comm": cell.sa_weight_comm,
+                },
+            )
 
 
 RANDOM_SCENARIOS = {

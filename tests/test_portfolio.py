@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.trajectory import record_packet_trajectory
 from repro.annealing.annealer import Annealer
 from repro.annealing.acceptance import MetropolisAcceptance
 from repro.annealing.cooling import GeometricCooling, LinearCooling
@@ -147,6 +148,26 @@ class TestPortfolioConfig:
     def test_saconfig_rejects_portfolio_with_other_acceptance(self):
         with pytest.raises(ConfigurationError):
             SAConfig(portfolio=4, acceptance=MetropolisAcceptance())
+
+    def test_saconfig_rejects_portfolio_with_trajectories(self):
+        with pytest.raises(ConfigurationError, match="records no trajectories"):
+            SAConfig(portfolio=4, record_trajectories=True)
+        with pytest.raises(ConfigurationError, match="records no trajectories"):
+            SAConfig(record_trajectories=True).with_portfolio(4)
+        with pytest.raises(ConfigurationError, match="records no trajectories"):
+            record_packet_trajectory(
+                random_dag(12, seed=0), Machine.bus(4),
+                SAConfig.paper_defaults(seed=0).with_portfolio(4),
+            )
+
+    def test_recording_anneal_of_a_racing_portfolio_raises(self):
+        packet = _make_packet(10, 5, 11)
+        annealer = PacketAnnealer(SAConfig.paper_defaults(seed=5).with_portfolio(4))
+        with pytest.raises(ConfigurationError, match="records no trajectory"):
+            annealer.anneal(packet, Machine.bus(6), LinearCommModel(), rng=123,
+                            record_trajectory=True)
+        outcome = annealer.anneal(packet, Machine.bus(6), LinearCommModel(), rng=123)
+        assert outcome.portfolio is not None and not outcome.trajectory
 
     def test_with_portfolio_resets_replicas(self):
         cfg = SAConfig(replicas=8).with_portfolio(4)

@@ -284,6 +284,20 @@ class TestService:
         assert by_payload["makespan"] == by_name["makespan"]
         assert by_payload["n_packets"] == by_name["n_packets"]
 
+    def test_paper_registry_keys(self, service):
+        jobs = [_job(family=key, fingerprint=True) for key in ("NE", "GJ", "FFT", "MM")]
+        jobs += [
+            _job(policy=key, family="NE", policy_seed=1, fingerprint=True)
+            for key in ("SA/wc=0.3", "SA/wc=0.7")
+        ]
+        with ServiceClient(*service) as client:
+            rows = client.simulate_many(jobs)
+        for job, row in zip(jobs, rows):
+            direct = _direct(job)
+            for key in SCIENCE:
+                assert row[key] == direct[key], (job, key)
+            assert row["fingerprint"] == direct["fingerprint"]
+
     def test_contention_fidelity_jobs(self, service):
         job = _job(fidelity="contention")
         with ServiceClient(*service) as client:

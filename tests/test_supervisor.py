@@ -258,6 +258,11 @@ class TestInlineSupervision:
         assert stats["mode"] == "inline"
         assert stats["attempts"] == 3 and stats["retries"] == 0
 
+    def test_empty_map_starts_no_pool(self):
+        results, stats = supervised_map(_double, [], SupervisorConfig(jobs=4))
+        assert results == []
+        assert stats["mode"] == "inline" and stats["attempts"] == 0
+
     def test_transient_failure_is_retried(self):
         calls = {"n": 0}
 

@@ -8,6 +8,7 @@ import random
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import repro.experiments.sweep as sweep_module
@@ -25,7 +26,7 @@ from repro.experiments.sweep import (
     hetero_machine,
     lane_eligible,
     main,
-    parallel_map,
+    reduce_cells,
     run_lane_group,
     run_scenario,
     run_sweep,
@@ -561,17 +562,110 @@ class TestLevelsOnMemoHit:
         assert calls == [1]
 
 
-class TestParallelMap:
-    def test_preserves_order(self):
-        items = [{"policy": "HLF", "machine": "hypercube8", "family": "layered",
-                  "graph_seed": s, "policy_seed": s, "with_comm": True,
-                  "fidelity": "latency"} for s in range(4)]
-        rows = parallel_map(run_scenario, items, jobs=2)
-        assert [r["graph_seed"] for r in rows] == [0, 1, 2, 3]
+def _row(policy, makespan, speedup, policy_seed=0, **fields):
+    """A hand-made result row of one Table-2-style cell."""
+    row = dict(_spec(0, family="NE", policy=policy), policy_seed=policy_seed,
+               makespan=makespan, speedup=speedup, error=None)
+    row.update(fields)
+    return row
 
-    def test_serial_fallback(self):
-        rows = parallel_map(run_scenario, [], jobs=4)
-        assert rows == []
+
+class TestReduceCells:
+    def test_hlf_mean_is_taken_in_seed_order(self):
+        speedups = [1e16, 1.0, -1e16, 1.0]
+        rows = [_row("HLF", 10.0 + s, x, policy_seed=s) for s, x in enumerate(speedups)]
+        (cell,) = reduce_cells(rows).values()
+        assert cell["HLF"]["policy"] == "HLF"
+        assert cell["HLF"]["speedup"] == float(np.mean(speedups))
+        assert cell["HLF"]["speedup"] != float(np.mean(sorted(speedups)))  # order matters
+        assert cell["HLF"]["makespan"] == 11.5
+
+    def test_lowest_makespan_wins_and_first_key_wins_a_tie(self):
+        rows = [_row("SA/wc=0.3", 50.0, 2.0), _row("SA", 40.0, 2.5),
+                _row("SA/wc=0.7", 40.0, 2.5)]
+        (cell,) = reduce_cells(rows).values()
+        assert cell["SA"] == {"policy": "SA", "speedup": 2.5, "makespan": 40.0}
+        (cell,) = reduce_cells([rows[0], rows[2], rows[1]]).values()
+        assert cell["SA"]["policy"] == "SA/wc=0.7"
+
+    def test_cells_are_keyed_by_family_machine_comm_fidelity_and_graph(self):
+        rows = [_row("SA", 40.0, 2.5), _row("SA", 30.0, 3.0, with_comm=False),
+                _row("SA", 20.0, 4.0, fidelity="contention"),
+                _row("SA", 10.0, 5.0, graph_seed=1), _row("HLF", 45.0, 2.2)]
+        cells = reduce_cells(rows)
+        assert list(cells) == [
+            ("NE", "hypercube8", True, "latency", 0),
+            ("NE", "hypercube8", False, "latency", 0),
+            ("NE", "hypercube8", True, "contention", 0),
+            ("NE", "hypercube8", True, "latency", 1),
+        ]
+        assert sorted(cells[("NE", "hypercube8", True, "latency", 0)]) == ["HLF", "SA"]
+
+    def test_a_cell_with_an_error_row_raises(self):
+        failed = _row("SA/wc=0.7", None, None, error="ValueError: boom",
+                      error_type="ValueError", traceback="Traceback: boom")
+        with pytest.raises(WorkerError, match="SA/wc=0.7 failed: ValueError: boom") as info:
+            reduce_cells([_row("SA", 40.0, 2.5), failed])
+        assert info.value.error_type == "ValueError"
+        assert info.value.traceback == "Traceback: boom"
+
+
+class TestPaperRegistryKeys:
+    def test_paper_programs_are_graph_families(self):
+        from repro.taskgraph.io import to_dict
+        from repro.workloads.suite import PAPER_PROGRAMS
+
+        for key in ("NE", "GJ", "FFT", "MM"):
+            for seed in (0, 1):
+                assert to_dict(GRAPH_FAMILIES[key](seed)) == to_dict(
+                    PAPER_PROGRAMS[key].build(seed=seed)
+                )
+
+    def test_weight_variants_share_sa_defaults(self):
+        from repro.core.config import SAConfig
+
+        # The cooling and acceptance objects compare by identity; repr shows them.
+        for key, wc in (("SA/wc=0.3", 0.3), ("SA", 0.5), ("SA/wc=0.7", 0.7)):
+            config = POLICY_BUILDERS[key](3).config
+            assert (config.weight_balance, config.weight_comm) == (1.0 - wc, wc)
+            assert repr(config) == repr(
+                SAConfig.paper_defaults(seed=3).with_weights(1.0 - wc, wc)
+            )
+
+    def test_cli_accepts_the_new_keys(self, tmp_path, capsys):
+        out = tmp_path / "ne.json"
+        assert main(["--families", "NE", "--policies", "HLF", "SA/wc=0.3",
+                     "--seeds", "1", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["meta"]["n_failed"] == 0
+        assert [(r["policy"], r["family"], r["machine"]) for r in report["results"]] == [
+            (policy, "NE", machine)
+            for machine in ("hypercube8", "ring9")
+            for policy in ("HLF", "SA/wc=0.3")
+        ]
+
+    def test_importing_the_sweep_builds_no_graph(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(sweep_module.__file__).resolve().parents[2]
+        code = (
+            "import repro.taskgraph.graph as g\n"
+            "built = []\n"
+            "real = g.TaskGraph.__init__\n"
+            "def spy(self, *a, **k):\n"
+            "    built.append(1)\n"
+            "    real(self, *a, **k)\n"
+            "g.TaskGraph.__init__ = spy\n"
+            "import repro.experiments.sweep\n"
+            "print(len(built))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=str(src)))
+        assert out.stdout.strip() == "0"
 
 
 class TestHeteroScenarios:
@@ -649,18 +743,6 @@ class TestFailureTaxonomy:
                 assert row["error"] is None and row["error_type"] is None
         healthy = [a for a in report["aggregates"] if a["family"] == "layered"]
         assert healthy[0]["n_failed"] == 0 and healthy[0]["mean_speedup"] > 0
-
-    def test_parallel_map_raises_worker_error_on_failure(self):
-        def boom(item):
-            raise ValueError("exploding worker")
-
-        with pytest.raises(WorkerError, match="ValueError: exploding worker"):
-            parallel_map(boom, [{"x": 1}], jobs=1)
-        try:
-            parallel_map(boom, [{"x": 1}], jobs=1)
-        except WorkerError as exc:
-            assert exc.error_type == "ValueError"
-            assert "exploding worker" in exc.traceback
 
 
 class TestEngineLadder:
